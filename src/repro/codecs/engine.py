@@ -26,21 +26,23 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import signal
 import threading
 import time
 import weakref
 from collections import OrderedDict, deque
+from collections.abc import Iterator
 from concurrent.futures import (
     FIRST_COMPLETED,
     BrokenExecutor,
     CancelledError,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
 )
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from repro import faults, kernels, obs
 from repro.codecs.errors import BlockDecodeError, CodecError
@@ -92,12 +94,7 @@ def plan_fingerprint(plan: MatrixCompression) -> str:
     h.update(
         b"%d:%d:%d:%d:" % (plan.use_delta, plan.use_huffman, plan.block_bytes, plan.nblocks)
     )
-    for rec in plan.index_records:
-        h.update(b"%d:%d:%d:" % (rec.orig_len, rec.snappy_len, rec.bit_len))
-        if rec.tag is not None:
-            h.update(b"t%d:" % rec.tag)
-        h.update(rec.payload)
-    for rec in plan.value_records:
+    for rec in (*plan.index_records, *plan.value_records):
         h.update(b"%d:%d:%d:" % (rec.orig_len, rec.snappy_len, rec.bit_len))
         if rec.tag is not None:
             h.update(b"t%d:" % rec.tag)
@@ -238,84 +235,29 @@ def _finish_chunk(
     ]
 
 
-def _decode_chunk(
-    args: tuple[list[BlockRecord], HuffmanTable | None, bool, bool]
-) -> list[bytes]:
-    records, table, use_huffman, apply_delta = args
-    return [
-        decode_record(rec, table, use_huffman=use_huffman, apply_delta=apply_delta)
-        for rec in records
-    ]
+def _decode_chunk(args: tuple) -> list[tuple[bytes, bytes]]:
+    """The one chunk-decode worker: one pool task per chunk of blocks.
 
-
-def _decode_chunk_faulted(
-    args: tuple["faults.FaultPlan", list[int], bool, tuple]
-) -> list[bytes]:
-    """Worker shim for chaos runs: fire any armed worker-site faults for
-    the chunk's blocks (latency, injected exception, worker kill), then
-    decode. Only ever dispatched when a :class:`~repro.faults.FaultPlan`
-    with worker faults is active; the normal path pays nothing for it."""
-    fault_plan, block_ids, allow_kill, inner = args
-    for bid in block_ids:
-        fault_plan.fire_worker_faults(bid, allow_kill)
-    return _decode_chunk(inner)
-
-
-def _decode_pair_chunk(
-    args: tuple[list[BlockRecord], list[BlockRecord], HuffmanTable | None,
-                HuffmanTable | None, bool, bool]
-) -> list[tuple[bytes, bytes]]:
-    """Decode a chunk of blocks' index+value record pairs in one task.
-
-    The async pipeline wants each chunk to complete as a *unit* (a block
-    is only useful once both its streams are back), so unlike the batch
-    path's separate index/value task lists, one task here carries both
-    streams for its blocks. Byte-identical: same ``decode_record`` on the
-    same inputs.
+    Decodes each block's index and value records (a block is only useful
+    once both streams are back). When a :class:`~repro.faults.FaultPlan`
+    with worker faults rides along, its armed worker-site faults (latency,
+    injected exception, worker kill) fire before each record.
     """
-    idx_records, val_records, index_table, value_table, use_huffman, use_delta = args
+    (block_ids, idx_records, val_records, index_table, value_table,
+     use_huffman, use_delta, fault_plan, allow_kill) = args
     out = []
-    for irec, vrec in zip(idx_records, val_records):
-        idx = decode_record(irec, index_table, use_huffman=use_huffman,
-                            apply_delta=use_delta)
-        val = decode_record(vrec, value_table, use_huffman=use_huffman,
-                            apply_delta=False)
-        out.append((idx, val))
+    with obs.trace("codecs.engine.decode", blocks=len(block_ids)):
+        for bid, irec, vrec in zip(block_ids, idx_records, val_records):
+            if fault_plan is not None:
+                fault_plan.fire_worker_faults(bid, allow_kill)
+            idx = decode_record(irec, index_table, use_huffman=use_huffman,
+                                apply_delta=use_delta)
+            if fault_plan is not None:
+                fault_plan.fire_worker_faults(bid, allow_kill)
+            val = decode_record(vrec, value_table, use_huffman=use_huffman,
+                                apply_delta=False)
+            out.append((idx, val))
     return out
-
-
-def _decode_pair_chunk_faulted(
-    args: tuple["faults.FaultPlan", list[int], bool, tuple]
-) -> list[tuple[bytes, bytes]]:
-    """Chaos shim for :func:`_decode_pair_chunk`: fire armed worker-site
-    faults per block per stream (twice per block, mirroring the batch
-    path's separate index/value chunks), then decode."""
-    fault_plan, block_ids, allow_kill, inner = args
-    idx_records, val_records, index_table, value_table, use_huffman, use_delta = inner
-    out = []
-    for bid, irec, vrec in zip(block_ids, idx_records, val_records):
-        fault_plan.fire_worker_faults(bid, allow_kill)
-        idx = decode_record(irec, index_table, use_huffman=use_huffman,
-                            apply_delta=use_delta)
-        fault_plan.fire_worker_faults(bid, allow_kill)
-        val = decode_record(vrec, value_table, use_huffman=use_huffman,
-                            apply_delta=False)
-        out.append((idx, val))
-    return out
-
-
-def _assemble_block(plan: MatrixCompression, i: int, idx_bytes: bytes,
-                    val_bytes: bytes) -> CSRBlock:
-    ref = plan.blocked.blocks[i]
-    return CSRBlock(
-        row_start=ref.row_start,
-        row_end=ref.row_end,
-        row_ptr=ref.row_ptr,
-        col_idx=np.frombuffer(idx_bytes, dtype="<i4"),
-        val=np.frombuffer(val_bytes, dtype="<f8"),
-        nnz_start=ref.nnz_start,
-        leading_partial=ref.leading_partial,
-    )
 
 
 @dataclass(frozen=True)
@@ -336,6 +278,13 @@ def _pool_warmup(_i: int) -> None:
     return None
 
 
+def _process_worker_init() -> None:
+    """Let a broken pool's teardown SIGTERM its workers: a handler
+    inherited from the parent (the CLI's) would keep one blocked writing
+    a large result alive, and the teardown would wait on it forever."""
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
 def _shutdown_pool(pool) -> None:
     pool.shutdown(wait=False, cancel_futures=True)
 
@@ -353,6 +302,37 @@ def _run_isolated(args: tuple) -> tuple:
         with kernels.use_backend(kernel_backend):
             result = fn(task)
     return result, reg.snapshot(), worker_tracer.events()
+
+
+def _submit(pool, fn, task) -> Future:
+    """Submit one task; without a pool (``workers=0``) it runs inline, so
+    the serial fallback drives the same loop. Process-pool tasks record
+    into per-worker registries (and tracers) that :func:`_collect` merges
+    back, so parallel runs report the same counter totals as serial."""
+    if pool is None:
+        fut: Future = Future()
+        try:
+            fut.set_result(fn(task))
+        except Exception as exc:
+            fut.set_exception(exc)
+        return fut
+    if isinstance(pool, ProcessPoolExecutor):
+        return pool.submit(
+            _run_isolated, (fn, task, obs.tracing_enabled(), kernels.backend())
+        )
+    return pool.submit(fn, task)
+
+
+def _collect(fut: Future, pool):
+    """A submitted task's result (raising its exception)."""
+    res = fut.result()
+    if not isinstance(pool, ProcessPoolExecutor):
+        return res
+    result, snapshot, events = res
+    obs.registry().merge_snapshot(snapshot)
+    if events:
+        obs.tracer().add_events(events)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -378,7 +358,7 @@ _ENGINE_COUNTERS = (
 class EngineStats:
     """Cumulative per-engine tallies mirrored into ``codecs.engine.*``.
 
-    The former bespoke dataclass fields survive as read-only properties,
+    The former bespoke dataclass fields survive as read-only attributes,
     so existing callers (``stats.blocks_decoded``, ``as_dict()``) keep
     working. The authoritative numbers are plain in-object totals that
     only :meth:`reset` can zero — an engine outliving a
@@ -401,6 +381,10 @@ class EngineStats:
         self._labels = {"engine": engine_label} if engine_label else {}
         self._lock = threading.Lock()
         self._totals = dict.fromkeys(_ENGINE_COUNTERS, 0.0)
+        # Counters of the active registry, looked up once per registry: a
+        # lookup costs more than the increment, and adds run once per block.
+        self._reg: obs.MetricsRegistry | None = None
+        self._counters: dict[str, obs.Counter] = {}
         # Pre-create the counters so every name is present (value 0) in
         # the construction-time registry even before any work lands —
         # conformance suites compare metric-name sets across configs.
@@ -411,41 +395,23 @@ class EngineStats:
     def add(self, name: str, amount: float) -> None:
         if not amount:
             return  # skip the lock on no-op adds (all-hit decode passes)
+        reg = obs.registry()
         with self._lock:
             self._totals[name] += amount
-        obs.registry().counter(f"codecs.engine.{name}", **self._labels).inc(amount)
+            if reg is not self._reg:
+                self._reg, self._counters = reg, {}
+            counter = self._counters.get(name)
+            if counter is None:
+                counter = reg.counter(f"codecs.engine.{name}", **self._labels)
+                self._counters[name] = counter
+        counter.inc(amount)
 
-    @property
-    def blocks_encoded(self) -> int:
-        return int(self._totals["blocks_encoded"])
-
-    @property
-    def blocks_decoded(self) -> int:
-        return int(self._totals["blocks_decoded"])
-
-    @property
-    def cache_hits(self) -> int:
-        return int(self._totals["cache_hits"])
-
-    @property
-    def cache_misses(self) -> int:
-        return int(self._totals["cache_misses"])
-
-    @property
-    def bytes_decoded(self) -> int:
-        return int(self._totals["bytes_decoded"])
-
-    @property
-    def encode_seconds(self) -> float:
-        return self._totals["encode_seconds"]
-
-    @property
-    def decode_seconds(self) -> float:
-        return self._totals["decode_seconds"]
-
-    @property
-    def pool_startup_seconds(self) -> float:
-        return self._totals["pool_startup_seconds"]
+    def __getattr__(self, name: str):
+        # The lifetime totals, read-only: counts as ints, *_seconds as floats.
+        if name in _ENGINE_COUNTERS:
+            total = self._totals[name]
+            return total if name.endswith("_seconds") else int(total)
+        raise AttributeError(name)
 
     @property
     def decode_mb_per_s(self) -> float:
@@ -466,14 +432,7 @@ class EngineStats:
     def as_dict(self) -> dict[str, float]:
         return {
             "workers": self.workers,
-            "blocks_encoded": self.blocks_encoded,
-            "blocks_decoded": self.blocks_decoded,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-            "bytes_decoded": self.bytes_decoded,
-            "encode_seconds": self.encode_seconds,
-            "decode_seconds": self.decode_seconds,
-            "pool_startup_seconds": self.pool_startup_seconds,
+            **{name: getattr(self, name) for name in _ENGINE_COUNTERS},
             "decode_mb_per_s": self.decode_mb_per_s,
         }
 
@@ -534,12 +493,15 @@ class RecodeEngine:
         ``pool_startup_seconds``, not the encode/decode timers."""
         if self._pool is None:
             start = time.perf_counter()
-            pool_cls = ProcessPoolExecutor if self.executor == "process" else ThreadPoolExecutor
-            pool = pool_cls(max_workers=self.workers)
             if self.executor == "process":
+                pool = ProcessPoolExecutor(
+                    max_workers=self.workers, initializer=_process_worker_init
+                )
                 # Force worker spawn now so the map timers below measure
                 # codec work, not fork/exec.
                 list(pool.map(_pool_warmup, range(self.workers)))
+            else:
+                pool = ThreadPoolExecutor(max_workers=self.workers)
             self._pool = pool
             weakref.finalize(self, _shutdown_pool, pool)
             self.stats.add("pool_startup_seconds", time.perf_counter() - start)
@@ -565,6 +527,16 @@ class RecodeEngine:
             except Exception:
                 pass
 
+    @contextmanager
+    def _closing_on_error(self) -> Iterator[None]:
+        """Never leak the worker pool when an exception escapes outside
+        the context-manager path (finalizers only run at GC time)."""
+        try:
+            yield
+        except BaseException:
+            self.close()
+            raise
+
     def __enter__(self) -> "RecodeEngine":
         return self
 
@@ -572,34 +544,10 @@ class RecodeEngine:
         self.close()
 
     def _run_chunked(self, fn, tasks: list) -> list:
-        """Apply ``fn`` to every task, in order, flattening list results.
-
-        Process-pool tasks run under per-worker metric registries (and
-        tracers, when tracing) whose contents merge back into the
-        parent's on join, so parallel runs report the same counter totals
-        as serial ones.
-        """
-        if self.workers == 0 or len(tasks) <= 1:
-            chunks = [fn(t) for t in tasks]
-        elif self.executor == "thread":
-            # Threads share the process-wide registry; metrics are
-            # thread-safe, so record directly.
-            chunks = list(self._ensure_pool().map(fn, tasks))
-        else:
-            pool = self._ensure_pool()
-            tracing = obs.tracing_enabled()
-            reg = obs.registry()
-            parent_tracer = obs.tracer()
-            backend = kernels.backend()
-            chunks = []
-            for result, snapshot, events in pool.map(
-                _run_isolated, [(fn, task, tracing, backend) for task in tasks]
-            ):
-                chunks.append(result)
-                reg.merge_snapshot(snapshot)
-                if events:
-                    parent_tracer.add_events(events)
-        return [item for chunk in chunks for item in chunk]
+        """Apply ``fn`` to every task, in order, flattening list results."""
+        pool = self._ensure_pool() if self.workers and len(tasks) > 1 else None
+        futs = [_submit(pool, fn, t) for t in tasks]
+        return [item for fut in futs for item in _collect(fut, pool)]
 
     @staticmethod
     def _chunks(items: list, size: int) -> list[list]:
@@ -624,73 +572,55 @@ class RecodeEngine:
         """
         if not 0.0 < sample_frac <= 1.0:
             raise ValueError(f"sample_frac must be in (0, 1], got {sample_frac}")
-        try:
-            return self._encode_blocked(
-                matrix, block_bytes, use_delta, use_huffman, sample_frac, seed
-            )
-        except BaseException:
-            # Never leak the worker pool when an exception escapes outside
-            # the context-manager path (finalizers only run at GC time).
-            self.close()
-            raise
+        with self._closing_on_error():
+            if self.workers:
+                # Spin the pool up (timed separately) before the encode timer.
+                self._ensure_pool()
+            start = time.perf_counter()
+            with obs.trace("codecs.engine.encode", workers=self.workers, nnz=matrix.nnz):
+                blocked = partition_csr(matrix, block_bytes=block_bytes)
+                idx_streams, val_streams = block_streams(blocked, use_delta)
 
-    def _encode_blocked(
-        self,
-        matrix: CSRMatrix,
-        block_bytes: int,
-        use_delta: bool,
-        use_huffman: bool,
-        sample_frac: float,
-        seed: int,
-    ) -> MatrixCompression:
-        if self.workers:
-            # Spin the pool up (timed separately) before the encode timer.
-            self._ensure_pool()
-        start = time.perf_counter()
-        with obs.trace("codecs.engine.encode", workers=self.workers, nnz=matrix.nnz):
-            blocked = partition_csr(matrix, block_bytes=block_bytes)
-            idx_streams, val_streams = block_streams(blocked, use_delta)
+                # Stage 1 — Snappy over both streams, one flat task list.
+                snapped = self._run_chunked(
+                    _snappy_chunk, self._chunks(idx_streams + val_streams, self.chunk_blocks)
+                )
+                nb = blocked.nblocks
+                idx_snapped, val_snapped = snapped[:nb], snapped[nb:]
 
-            # Stage 1 — Snappy over both streams, one flat task list.
-            snapped = self._run_chunked(
-                _snappy_chunk, self._chunks(idx_streams + val_streams, self.chunk_blocks)
-            )
-            nb = blocked.nblocks
-            idx_snapped, val_snapped = snapped[:nb], snapped[nb:]
+                # Stage 2 — tables need a global sample, so they build in-process.
+                index_table, value_table = sampled_tables(
+                    idx_snapped, val_snapped, nb, sample_frac, seed, use_huffman
+                )
 
-            # Stage 2 — tables need a global sample, so they build in-process.
-            index_table, value_table = sampled_tables(
-                idx_snapped, val_snapped, nb, sample_frac, seed, use_huffman
-            )
+                # Stage 3 — Huffman bit-packing (the dominant encode cost).
+                cb = self.chunk_blocks
+                tasks = [
+                    ([len(s) for s in streams[i : i + cb]], snaps[i : i + cb],
+                     table, use_huffman)
+                    for streams, snaps, table in (
+                        (idx_streams, idx_snapped, index_table),
+                        (val_streams, val_snapped, value_table),
+                    )
+                    for i in range(0, nb, cb)
+                ]
+                finished = self._run_chunked(_finish_chunk, tasks)
+                index_records, value_records = finished[:nb], finished[nb:]
 
-            # Stage 3 — Huffman bit-packing (the dominant encode cost).
-            idx_tasks = [
-                ([len(s) for s in idx_streams[i : i + self.chunk_blocks]],
-                 idx_snapped[i : i + self.chunk_blocks], index_table, use_huffman)
-                for i in range(0, nb, self.chunk_blocks)
-            ]
-            val_tasks = [
-                ([len(s) for s in val_streams[i : i + self.chunk_blocks]],
-                 val_snapped[i : i + self.chunk_blocks], value_table, use_huffman)
-                for i in range(0, nb, self.chunk_blocks)
-            ]
-            finished = self._run_chunked(_finish_chunk, idx_tasks + val_tasks)
-            index_records, value_records = finished[:nb], finished[nb:]
-
-            plan = MatrixCompression(
-                blocked=blocked,
-                index_records=tuple(index_records),
-                value_records=tuple(value_records),
-                index_table=index_table,
-                value_table=value_table,
-                use_delta=use_delta,
-                use_huffman=use_huffman,
-                block_bytes=block_bytes,
-            )
-        self.stats.add("blocks_encoded", nb)
-        self.stats.add("encode_seconds", time.perf_counter() - start)
-        _record_plan_metrics(plan)
-        return plan
+                plan = MatrixCompression(
+                    blocked=blocked,
+                    index_records=tuple(index_records),
+                    value_records=tuple(value_records),
+                    index_table=index_table,
+                    value_table=value_table,
+                    use_delta=use_delta,
+                    use_huffman=use_huffman,
+                    block_bytes=block_bytes,
+                )
+            self.stats.add("blocks_encoded", nb)
+            self.stats.add("encode_seconds", time.perf_counter() - start)
+            _record_plan_metrics(plan)
+            return plan
 
     # -- decode --------------------------------------------------------------
 
@@ -723,186 +653,69 @@ class RecodeEngine:
 
         Returns ``(blocks, failures)``: every block that decoded (keyed by
         id) plus a :class:`BlockFailure` per block that could not, after
-        ``max_retries`` serial retries with exponential backoff. Failed
-        blocks are quarantined (skipped on subsequent calls for the same
-        plan) and surface in the ``faults.*`` counters; the SpMV
-        ``degrade`` policy substitutes them from the raw CSR partition.
+        ``max_retries`` serial retries with exponential backoff, in block
+        order. Failed blocks are quarantined (skipped on subsequent calls
+        for the same plan) and surface in the ``faults.*`` counters; the
+        SpMV ``degrade`` policy substitutes them from the raw CSR
+        partition.
 
         A pool worker dying mid-chunk (BrokenProcessPool) tears the pool
-        down, re-dispatches the whole batch serially, and lets the next
-        parallel call rebuild a fresh executor.
+        down, re-dispatches every unfinished chunk serially, and lets the
+        next parallel call rebuild a fresh executor.
         """
+        ids = self._check_ids(plan, block_ids)
+        blocks: dict[int, CSRBlock] = {}
+        failures: list[BlockFailure] = []
+        with self._closing_on_error():
+            for i, res in AsyncDecode(self, plan, ids, matrix_id, max(1, len(ids))):
+                if isinstance(res, BlockFailure):
+                    failures.append(res)
+                else:
+                    blocks[i] = res
+        return blocks, tuple(sorted(failures, key=lambda f: f.block_id))
+
+    @staticmethod
+    def _check_ids(plan: MatrixCompression, block_ids: list[int] | None) -> list[int]:
         ids = list(range(plan.nblocks)) if block_ids is None else list(block_ids)
         for i in ids:
             if not 0 <= i < plan.nblocks:
                 raise ValueError(f"block id {i} out of range (nblocks={plan.nblocks})")
-        try:
-            return self._decode_resilient(plan, ids, matrix_id)
-        except BaseException:
-            # Never leak the worker pool when an exception escapes outside
-            # the context-manager path (finalizers only run at GC time).
-            self.close()
-            raise
+        return ids
 
-    def _decode_resilient(
-        self, plan: MatrixCompression, ids: list[int], matrix_id: str
-    ) -> tuple[dict[int, CSRBlock], tuple[BlockFailure, ...]]:
-        busy_seconds = 0.0
-        start = time.perf_counter()
-        out: dict[int, CSRBlock] = {}
-        missing: list[int] = []
-        hits = misses = 0
-        fingerprint = plan_fingerprint(plan) if self.cache is not None else ""
-        for i in ids:
-            if self.cache is not None:
-                hit = self.cache.get((matrix_id, i, fingerprint))
-                if hit is not None:
-                    out[i] = hit
-                    hits += 1
-                    continue
-                misses += 1
-            if i not in out:
-                missing.append(i)
-        missing = sorted(set(missing))
-
-        failures: list[BlockFailure] = []
-        if self.quarantined and missing:
-            # Steady-state loops skip known-bad blocks instead of
-            # re-failing them (and re-crashing workers) every iteration.
-            fq = plan_fingerprint(plan)
-            alive: list[int] = []
-            for i in missing:
-                if (matrix_id, fq, i) in self.quarantined:
-                    obs.registry().counter("faults.quarantine_hits").inc()
-                    failures.append(BlockFailure(
-                        i, 0,
-                        BlockDecodeError(f"block {i} is quarantined", block_id=i),
-                    ))
-                else:
-                    alive.append(i)
-            missing = alive
-
-        fault_plan = faults.active()
-        if fault_plan is not None and missing:
-            # Corrupt the engine's *view* of the records once, up front;
-            # retries then deterministically re-fail, which is the point.
-            idx_recs = {
-                i: fault_plan.mutate_record(plan.index_records[i], i, "index")
-                for i in missing
-            }
-            val_recs = {
-                i: fault_plan.mutate_record(plan.value_records[i], i, "value")
-                for i in missing
-            }
-        else:
-            idx_recs, val_recs = plan.index_records, plan.value_records
-
-        if missing:
-            if self.workers:
-                # Pause the decode timer around pool spin-up: fork/exec is
-                # a one-time cost, accounted in pool_startup_seconds.
-                busy_seconds += time.perf_counter() - start
-                self._ensure_pool()
-                start = time.perf_counter()
-            with obs.trace("codecs.engine.decode", blocks=len(missing)):
-                idx_tasks = [
-                    ([idx_recs[i] for i in missing[j : j + self.chunk_blocks]],
-                     plan.index_table, plan.use_huffman, plan.use_delta)
-                    for j in range(0, len(missing), self.chunk_blocks)
-                ]
-                val_tasks = [
-                    ([val_recs[i] for i in missing[j : j + self.chunk_blocks]],
-                     plan.value_table, plan.use_huffman, False)
-                    for j in range(0, len(missing), self.chunk_blocks)
-                ]
-                fn = _decode_chunk
-                tasks = idx_tasks + val_tasks
-                if fault_plan is not None and fault_plan.wants_worker_faults:
-                    # Kills are only real in a process pool; everywhere
-                    # else they downgrade to an in-band InjectedFault so
-                    # the main process survives.
-                    allow_kill = self.workers > 0 and self.executor == "process"
-                    block_lists = [
-                        missing[j : j + self.chunk_blocks]
-                        for j in range(0, len(missing), self.chunk_blocks)
-                    ]
-                    fn = _decode_chunk_faulted
-                    tasks = [
-                        (fault_plan, blist, allow_kill, inner)
-                        for blist, inner in zip(block_lists * 2, tasks)
-                    ]
-                try:
-                    decoded = self._run_chunked(fn, tasks)
-                except BrokenExecutor:
-                    self._handle_pool_crash(fault_plan, missing)
-                    failures.extend(self._decode_isolated(
-                        plan, missing, idx_recs, val_recs, fault_plan,
-                        matrix_id, fingerprint, out,
-                    ))
-                except CodecError:
-                    failures.extend(self._decode_isolated(
-                        plan, missing, idx_recs, val_recs, fault_plan,
-                        matrix_id, fingerprint, out,
-                    ))
-                else:
-                    nm = len(missing)
-                    for i, idx_bytes, val_bytes in zip(missing, decoded[:nm], decoded[nm:]):
-                        block = _assemble_block(plan, i, idx_bytes, val_bytes)
-                        out[i] = block
-                        if self.cache is not None:
-                            self.cache.put((matrix_id, i, fingerprint), block)
-
-        if hits:
-            self.stats.add("cache_hits", hits)
-        if misses:
-            self.stats.add("cache_misses", misses)
-        self.stats.add("blocks_decoded", len(missing))
-        self.stats.add("bytes_decoded", sum(12 * out[i].nnz for i in ids if i in out))
-        self.stats.add("decode_seconds", busy_seconds + time.perf_counter() - start)
-        return out, tuple(failures)
+    def _keep(self, plan: MatrixCompression, i: int, idx_bytes: bytes,
+              val_bytes: bytes, matrix_id: str, fingerprint: str) -> CSRBlock:
+        """Assemble a decoded block and cache it."""
+        block = plan.assemble_block(i, idx_bytes, val_bytes)
+        if self.cache is not None:
+            self.cache.put((matrix_id, i, fingerprint), block)
+        return block
 
     def _decode_isolated(
         self,
         plan: MatrixCompression,
-        missing: list[int],
-        idx_recs,
-        val_recs,
-        fault_plan,
+        ids: list[int],
+        task,
         matrix_id: str,
         fingerprint: str,
-        out: dict[int, CSRBlock],
-    ) -> list[BlockFailure]:
-        """Serial per-block re-dispatch after a chunked failure.
+        jitter_seed: int,
+    ) -> list[tuple[int, "CSRBlock | BlockFailure"]]:
+        """Serial per-block re-dispatch after a chunk (or pool) failure.
 
-        The pool (or a chunk in it) is suspect, so every still-missing
-        block decodes in-process: a block gets ``1 + max_retries``
-        attempts with exponential backoff + deterministic jitter, then is
-        quarantined. Healthy blocks from a failed chunk decode fine here
-        and land in ``out`` as usual.
+        The pool (or a chunk in it) is suspect, so every block of the
+        chunk decodes in-process through ``_decode_chunk(task([i], False))``
+        (worker kills downgrade to exceptions): a block gets
+        ``1 + max_retries`` attempts with exponential backoff +
+        deterministic jitter, then is quarantined. Healthy blocks from a
+        failed chunk decode fine here.
         """
         reg = obs.registry()
         fq = plan_fingerprint(plan)
-        failures: list[BlockFailure] = []
-        fire_workers = fault_plan is not None and fault_plan.wants_worker_faults
-        jitter_seed = fault_plan.seed if fault_plan is not None else 0
-        for i in missing:
-            if i in out:
-                continue
+        items: list = []
+        for i in ids:
             last_exc: CodecError | None = None
-            attempts = 0
             for attempt in range(1, self.max_retries + 2):
-                attempts = attempt
                 try:
-                    if fire_workers:
-                        fault_plan.fire_worker_faults(i, allow_kill=False)
-                    idx_bytes = decode_record(
-                        idx_recs[i], plan.index_table,
-                        use_huffman=plan.use_huffman, apply_delta=plan.use_delta,
-                    )
-                    val_bytes = decode_record(
-                        val_recs[i], plan.value_table,
-                        use_huffman=plan.use_huffman, apply_delta=False,
-                    )
+                    [(idx_bytes, val_bytes)] = _decode_chunk(task([i], False))
                 except CodecError as exc:
                     last_exc = exc
                     if attempt <= self.max_retries:
@@ -917,22 +730,21 @@ class RecodeEngine:
                                 * (0.5 + jitter)
                             )
                 else:
-                    block = _assemble_block(plan, i, idx_bytes, val_bytes)
-                    out[i] = block
-                    if self.cache is not None:
-                        self.cache.put((matrix_id, i, fingerprint), block)
+                    items.append((i, self._keep(
+                        plan, i, idx_bytes, val_bytes, matrix_id, fingerprint
+                    )))
                     break
             else:
                 self.quarantined.add((matrix_id, fq, i))
                 reg.counter("faults.blocks_quarantined").inc()
                 error = BlockDecodeError(
-                    f"block {i} failed to decode after {attempts} attempts: "
+                    f"block {i} failed to decode after {attempt} attempts: "
                     f"{last_exc}",
                     block_id=i,
                 )
                 error.__cause__ = last_exc
-                failures.append(BlockFailure(i, attempts, error))
-        return failures
+                items.append((i, BlockFailure(i, attempt, error)))
+        return items
 
     def decode_block(
         self, plan: MatrixCompression, i: int, matrix_id: str = ""
@@ -956,15 +768,13 @@ class RecodeEngine:
         pool recodes block *i+1* (and beyond) while the consumer
         multiplies block *i*.
 
-        Per-block semantics (cache probes, quarantine short-circuit,
-        fault-plan record mutation, serial retry + quarantine fallback on
-        chunk failure, ``codecs.engine.*`` stats) match
-        :meth:`decode_resilient`; only the scheduling differs.
+        The handle is the engine's one decode driver (cache probes,
+        quarantine short-circuit, fault-plan record mutation, serial retry
+        + quarantine fallback on chunk failure, ``codecs.engine.*``
+        stats): :meth:`decode_resilient`, :meth:`decode_blocked` and
+        :meth:`decode_block` drain it with every chunk in flight.
         """
-        ids = list(range(plan.nblocks)) if block_ids is None else list(block_ids)
-        for i in ids:
-            if not 0 <= i < plan.nblocks:
-                raise ValueError(f"block id {i} out of range (nblocks={plan.nblocks})")
+        ids = self._check_ids(plan, block_ids)
         if max_inflight < 1:
             raise ValueError(f"max_inflight must be >= 1, got {max_inflight}")
         return AsyncDecode(self, plan, ids, matrix_id, max_inflight)
@@ -988,9 +798,11 @@ class AsyncDecode:
     needing block order must reorder; the pipelined SpMV executor instead
     accumulates out of order under its row-disjointness merge rule.
 
-    A worker death (BrokenProcessPool) tears the pool down once and
-    re-dispatches every unfinished chunk through the engine's serial
-    per-block retry/quarantine path, exactly like the batch API. Stats
+    A chunk failure re-dispatches that chunk through the engine's serial
+    per-block retry/quarantine path; a worker death (BrokenProcessPool)
+    tears the pool down once and does the same for every unfinished
+    chunk. ``workers=0`` engines run each chunk inline at submit time
+    through the same loop. Stats
     (``cache_hits``/``cache_misses``/``blocks_decoded``/``bytes_decoded``
     /``decode_seconds``) are flushed to the engine when the iterator is
     exhausted, closed, or garbage-collected; ``decode_seconds`` counts
@@ -1011,12 +823,8 @@ class AsyncDecode:
         self._matrix_id = matrix_id
         self._max_inflight = max_inflight
         self._pending: dict = {}
-        self._busy = 0.0
-        self._hits = 0
-        self._misses = 0
-        self._decoded_blocks = 0
-        self._yielded_bytes = 0
-        self._flushed = False
+        #: This handle's share of the engine stats, flushed when it ends.
+        self._tally = dict.fromkeys(_ENGINE_COUNTERS, 0.0)
         if engine.workers:
             # Spin the pool up now so fork/exec cost lands in
             # pool_startup_seconds, never in decode_seconds.
@@ -1052,37 +860,23 @@ class AsyncDecode:
         try:
             while True:
                 seg = time.perf_counter()
-                try:
-                    item = next(gen)
-                except StopIteration:
-                    self._busy += time.perf_counter() - seg
+                item = next(gen, None)
+                self._tally["decode_seconds"] += time.perf_counter() - seg
+                if item is None:
                     return
-                self._busy += time.perf_counter() - seg
+                if isinstance(item[1], CSRBlock):
+                    self._tally["bytes_decoded"] += 12 * item[1].nnz
                 yield item
         finally:
             gen.close()
-            self._flush_stats()
-
-    def _flush_stats(self) -> None:
-        if self._flushed:
-            return
-        self._flushed = True
-        stats = self._engine.stats
-        if self._hits:
-            stats.add("cache_hits", self._hits)
-        if self._misses:
-            stats.add("cache_misses", self._misses)
-        stats.add("blocks_decoded", self._decoded_blocks)
-        stats.add("bytes_decoded", self._yielded_bytes)
-        stats.add("decode_seconds", self._busy)
-
-    def _count(self, item):
-        i, res = item
-        if isinstance(res, CSRBlock):
-            self._yielded_bytes += 12 * res.nnz
-        return item
+            for name, amount in self._tally.items():
+                self._engine.stats.add(name, amount)
 
     def _produce(self):
+        """The one decode driver: cache probes, the quarantine
+        short-circuit, fault-plan record mutation, then chunks through the
+        pool (or inline, for ``workers=0``) with chunk and pool failures
+        routed to the engine's serial retry/quarantine path."""
         eng = self._engine
         plan = self._plan
         matrix_id = self._matrix_id
@@ -1093,14 +887,16 @@ class AsyncDecode:
             if eng.cache is not None:
                 hit = eng.cache.get((matrix_id, i, fingerprint))
                 if hit is not None:
-                    self._hits += 1
-                    yield self._count((i, hit))
+                    self._tally["cache_hits"] += 1
+                    yield i, hit
                     continue
-                self._misses += 1
+                self._tally["cache_misses"] += 1
             missing.append(i)
         missing = sorted(set(missing))
 
         if eng.quarantined and missing:
+            # Steady-state loops skip known-bad blocks instead of
+            # re-failing them (and re-crashing workers) every iteration.
             fq = plan_fingerprint(plan)
             alive: list[int] = []
             for i in missing:
@@ -1115,10 +911,12 @@ class AsyncDecode:
             missing = alive
         if not missing:
             return
-        self._decoded_blocks = len(missing)
+        self._tally["blocks_decoded"] = len(missing)
 
         fault_plan = faults.active()
         if fault_plan is not None:
+            # Corrupt the engine's *view* of the records once, up front;
+            # retries then deterministically re-fail, which is the point.
             idx_recs = {
                 i: fault_plan.mutate_record(plan.index_records[i], i, "index")
                 for i in missing
@@ -1129,113 +927,56 @@ class AsyncDecode:
             }
         else:
             idx_recs, val_recs = plan.index_records, plan.value_records
+        worker_faults = fault_plan if fault_plan and fault_plan.wants_worker_faults else None
+        jitter_seed = fault_plan.seed if fault_plan is not None else 0
+        chunks = deque(eng._chunks(missing, eng.chunk_blocks))
+        pool = eng._ensure_pool() if eng.workers else None
+        # Kills are only real in a process pool; everywhere else they
+        # downgrade to an in-band InjectedFault so the main process survives.
+        allow_kill = isinstance(pool, ProcessPoolExecutor)
+        crashed = False
 
-        allow_kill = eng.workers > 0 and eng.executor == "process"
-        chunks: deque = deque()
-        for j in range(0, len(missing), eng.chunk_blocks):
-            chunk_ids = missing[j : j + eng.chunk_blocks]
-            inner = (
+        def task(chunk_ids: list[int], allow_kill: bool) -> tuple:
+            return (
+                chunk_ids,
                 [idx_recs[i] for i in chunk_ids],
                 [val_recs[i] for i in chunk_ids],
                 plan.index_table, plan.value_table,
                 plan.use_huffman, plan.use_delta,
+                worker_faults, allow_kill,
             )
-            if fault_plan is not None and fault_plan.wants_worker_faults:
-                chunks.append(
-                    (chunk_ids, _decode_pair_chunk_faulted,
-                     (fault_plan, chunk_ids, allow_kill, inner))
-                )
-            else:
-                chunks.append((chunk_ids, _decode_pair_chunk, inner))
 
-        def isolated(chunk_ids: list[int]):
-            """Serial per-block fallback after a chunk (or pool) failure."""
-            scratch: dict[int, CSRBlock] = {}
-            fails = eng._decode_isolated(
-                plan, chunk_ids, idx_recs, val_recs, fault_plan,
-                matrix_id, fingerprint, scratch,
+        def isolated(chunk_ids: list[int]) -> list:
+            return eng._decode_isolated(
+                plan, chunk_ids, task, matrix_id, fingerprint, jitter_seed
             )
-            items = [(i, scratch[i]) for i in chunk_ids if i in scratch]
-            items.extend((f.block_id, f) for f in fails)
-            return items
-
-        if eng.workers == 0:
-            for chunk_ids, fn, task in chunks:
-                with obs.trace("codecs.engine.decode", blocks=len(chunk_ids)):
-                    try:
-                        result = fn(task)
-                    except CodecError:
-                        result = None
-                items = (
-                    isolated(chunk_ids)
-                    if result is None
-                    else [
-                        (i, self._finish(plan, i, ib, vb, fingerprint))
-                        for i, (ib, vb) in zip(chunk_ids, result)
-                    ]
-                )
-                for item in items:
-                    yield self._count(item)
-            return
-
-        tracing = obs.tracing_enabled()
-        reg = obs.registry()
-        parent_tracer = obs.tracer()
-        backend = kernels.backend()
-        pool = eng._ensure_pool()
-        crashed = False
-
-        def submit_one() -> None:
-            chunk_ids, fn, task = chunks.popleft()
-            if eng.executor == "process":
-                fut = pool.submit(_run_isolated, (fn, task, tracing, backend))
-            else:
-                fut = pool.submit(fn, task)
-            self._pending[fut] = chunk_ids
 
         while chunks or self._pending:
             while chunks and not crashed and len(self._pending) < self._max_inflight:
-                submit_one()
+                chunk_ids = chunks.popleft()
+                fut = _submit(pool, _decode_chunk, task(chunk_ids, allow_kill))
+                self._pending[fut] = chunk_ids
             if crashed and chunks:
                 # The pool is gone; never-submitted chunks decode serially.
-                chunk_ids, _fn, _task = chunks.popleft()
-                for item in isolated(chunk_ids):
-                    yield self._count(item)
-                continue
-            if not self._pending:
+                for item in isolated(chunks.popleft()):
+                    yield item
                 continue
             done, _ = wait(set(self._pending), return_when=FIRST_COMPLETED)
-            for fut in done:
+            for fut in [f for f in self._pending if f in done]:
                 chunk_ids = self._pending.pop(fut)
                 try:
-                    res = fut.result()
+                    res = _collect(fut, pool)
                 except (BrokenExecutor, CancelledError):
                     if not crashed:
                         crashed = True
-                        eng._handle_pool_crash(fault_plan, chunk_ids)
-                    for item in isolated(chunk_ids):
-                        yield self._count(item)
+                        eng._handle_pool_crash(fault_plan, missing)
+                    items = isolated(chunk_ids)
                 except CodecError:
-                    for item in isolated(chunk_ids):
-                        yield self._count(item)
+                    items = isolated(chunk_ids)
                 else:
-                    if eng.executor == "process":
-                        result, snapshot, events = res
-                        reg.merge_snapshot(snapshot)
-                        if events:
-                            parent_tracer.add_events(events)
-                    else:
-                        result = res
-                    for i, (ib, vb) in zip(chunk_ids, result):
-                        yield self._count(
-                            (i, self._finish(plan, i, ib, vb, fingerprint))
-                        )
-
-    def _finish(
-        self, plan: MatrixCompression, i: int, idx_bytes: bytes,
-        val_bytes: bytes, fingerprint: str,
-    ) -> CSRBlock:
-        block = _assemble_block(plan, i, idx_bytes, val_bytes)
-        if self._engine.cache is not None:
-            self._engine.cache.put((self._matrix_id, i, fingerprint), block)
-        return block
+                    items = [
+                        (i, eng._keep(plan, i, ib, vb, matrix_id, fingerprint))
+                        for i, (ib, vb) in zip(chunk_ids, res)
+                    ]
+                for item in items:
+                    yield item

@@ -174,16 +174,6 @@ class MatrixCompression:
 
     # -- decompression --------------------------------------------------------
 
-    def _decode_record(
-        self, record: BlockRecord, table: HuffmanTable | None, is_index: bool
-    ) -> bytes:
-        return decode_record(
-            record,
-            table,
-            use_huffman=self.use_huffman,
-            apply_delta=is_index and self.use_delta,
-        )
-
     def decompress_block(
         self,
         i: int,
@@ -197,19 +187,26 @@ class MatrixCompression:
         records — the SpMV pipeline passes the DMA-streamed copies here so
         a DRAM-side fault hits exactly the bytes that moved.
         """
-        ref = self.blocked.blocks[i]
         irec = self.index_records[i] if index_record is None else index_record
         vrec = self.value_records[i] if value_record is None else value_record
-        idx_bytes = self._decode_record(irec, self.index_table, True)
-        val_bytes = self._decode_record(vrec, self.value_table, False)
-        col_idx = np.frombuffer(idx_bytes, dtype="<i4")
-        val = np.frombuffer(val_bytes, dtype="<f8")
+        return self.assemble_block(
+            i,
+            decode_record(irec, self.index_table, use_huffman=self.use_huffman,
+                          apply_delta=self.use_delta),
+            decode_record(vrec, self.value_table, use_huffman=self.use_huffman,
+                          apply_delta=False),
+        )
+
+    def assemble_block(self, i: int, idx_bytes: bytes, val_bytes: bytes) -> CSRBlock:
+        """Block *i* from its decoded index and value streams (row
+        structure from the plan's blocked partition)."""
+        ref = self.blocked.blocks[i]
         return CSRBlock(
             row_start=ref.row_start,
             row_end=ref.row_end,
             row_ptr=ref.row_ptr,
-            col_idx=col_idx,
-            val=val,
+            col_idx=np.frombuffer(idx_bytes, dtype="<i4"),
+            val=np.frombuffer(val_bytes, dtype="<f8"),
             nnz_start=ref.nnz_start,
             leading_partial=ref.leading_partial,
         )

@@ -21,6 +21,12 @@ from repro.codecs.varint import read_varint, write_varint
 
 _U32 = 1 << 32
 
+#: Most elements one RLE stream may decode to. RLE streams here carry one
+#: block's index lane: a few thousand int32 entries even at the largest
+#: (32 KB) block budget. This leaves ample headroom, yet one hostile run
+#: length can never ask for more than 4 MiB.
+MAX_ELEMENTS = 1 << 20
+
 
 def zigzag_encode(value: int) -> int:
     """Map a signed int32 onto an unsigned int (small magnitudes stay small)."""
@@ -62,9 +68,11 @@ def rle_decode(data: bytes, count: int | None = None) -> np.ndarray:
         count: expected element count (validated when given).
 
     Raises:
-        CorruptStreamError: truncated stream, zero-length run, or count
-            mismatch.
+        CorruptStreamError: truncated stream, zero-length run, count
+            mismatch, or runs past ``count`` (or past :data:`MAX_ELEMENTS`
+            when no count is given) — checked before each run allocates.
     """
+    limit = MAX_ELEMENTS if count is None else count
     pos = 0
     chunks: list[np.ndarray] = []
     total = 0
@@ -73,6 +81,14 @@ def rle_decode(data: bytes, count: int | None = None) -> np.ndarray:
         run, pos = read_varint(data, pos)
         if run == 0:
             raise CorruptStreamError("zero-length run")
+        if total + run > limit:
+            if count is None:
+                raise CorruptStreamError(
+                    f"runs exceed {MAX_ELEMENTS} elements (one block's index lane)"
+                )
+            raise CorruptStreamError(
+                f"decoded {total + run}+ elements, expected {count}"
+            )
         zz, pos = read_varint(data, pos)
         value = zigzag_decode(zz)
         chunks.append(np.full(run, value, dtype=np.int32))
@@ -100,4 +116,8 @@ class RLECodec(Codec):
 
     def decode(self, data: bytes) -> bytes:
         count, pos = read_varint(data, 0)
+        if count > MAX_ELEMENTS:
+            raise CorruptStreamError(
+                f"element count {count} exceeds {MAX_ELEMENTS} (one block's index lane)"
+            )
         return rle_decode(data[pos:], count=count).astype("<i4").tobytes()

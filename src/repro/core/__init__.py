@@ -15,11 +15,8 @@ from repro.core.attach import AttachReport, on_die_udp, pcie_attached
 from repro.core.executor import (
     BlockAccumulator,
     DEFAULT_DEPTH,
-    MmapBlockSource,
-    PlanBlockSource,
     RunCancelled,
     RunCounters,
-    run_pipelined,
     run_sharded,
     shard_ranges,
 )
@@ -50,11 +47,8 @@ __all__ = [
     "recoded_spmm",
     "BlockAccumulator",
     "DEFAULT_DEPTH",
-    "MmapBlockSource",
-    "PlanBlockSource",
     "RunCancelled",
     "RunCounters",
-    "run_pipelined",
     "run_sharded",
     "shard_ranges",
 ]

@@ -1,31 +1,32 @@
-"""Pipelined recoded-SpMV/SpMM executor: overlap block decode with multiply.
+"""The recoded-SpMV/SpMM block step and the four schedules that run it.
 
-The paper's execution model (Figs. 6-7, Section V) is a decode/compute
-pipeline — the UDP recodes block *i+1* while the CPU multiplies block *i*,
-so decompression hides behind the multiply and SpMV runs at the
-compressed-stream rate. This module is the software analogue: block
-decodes are submitted asynchronously to the
-:class:`~repro.codecs.engine.RecodeEngine` pool with a bounded prefetch
-depth, decoded blocks are multiplied on the main thread *as they
-complete* (any order), and results accumulate out of order under a merge
-rule that keeps the result bit-identical to the serial executor:
+The paper's executor (Figs. 6-7) is one loop: stream a block's compressed
+records from DRAM, recode them, multiply. :class:`BlockStep` is that
+loop's body, written once: poll ``cancel``, stream the block's two records
+and charge their ``dram -> udp`` DMA into the run's :class:`RunLedger`,
+take the block from its :func:`block_source` (engine, plan, UDP toolchain
+or session cache), then settle it — record its ``udp -> cpu`` bytes, or
+apply the failure policy (``strict`` raises a :class:`BlockDecodeError`
+naming the block, ``degrade`` substitutes :func:`raw_block`).
 
-* a row owned by exactly one block receives exactly one ``+=`` — order
-  across blocks cannot change its bits;
-* a row *split* across blocks (``leading_partial`` continuations) defers
-  its per-block partial sums and folds them in block order at the end,
-  reproducing the serial left-to-right addition sequence exactly.
-
-DMA traffic is charged per block in block order (same
-:class:`~repro.memsys.traffic.TrafficLog` totals, same ``dma_seconds``
-float-addition sequence), failures flow through the same strict/degrade
-policy, and the decoded-block cache and fault hooks behave identically —
-the pipeline changes *when* work happens, never *what* happens.
+The schedules differ only in where a block comes from and in what order
+blocks finish: **serial** and **session-warm** run it in block order as
+the blocked kernels' ``recode`` hook (warm blocks come from the cache,
+with no stream or DMA); **pipelined** (:func:`run_pipelined`) streams
+every block, then settles decode completions as they land; **sharded**
+(:func:`run_sharded`) runs the serial schedule over block ranges in
+worker processes. Out-of-order results fold through a
+:class:`BlockAccumulator`, and every run ends in one
+:meth:`RunLedger.fold` in block order, so results, ``TrafficLog`` totals,
+``dma_seconds``, degraded counts and errors are bit-identical across
+schedules.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import itertools
 import threading
 import time
 from collections.abc import Callable, Sequence
@@ -63,12 +64,10 @@ class RunCancelled(RuntimeError):
 
 
 class RunCounters:
-    """Per-run mutable counters for one recoded SpMV/SpMM execution.
+    """Thread-safe per-run counters: a block cursor and a degraded count.
 
-    Replaces the closure-captured ``counter`` dict the serial hook used to
-    share: increments take a lock so the pipelined executor's completion
-    handling (and any future threaded consumer) cannot lose updates, and
-    the serial block cursor lives here too instead of a bare dict slot.
+    :func:`run_sharded` reports its degraded-block total here; increments
+    take a lock so concurrent consumers cannot lose updates.
     """
 
     __slots__ = ("_lock", "_cursor", "_degraded")
@@ -79,7 +78,7 @@ class RunCounters:
         self._degraded = 0
 
     def next_block(self) -> int:
-        """Claim the next serial block index (the recode-hook cursor)."""
+        """Claim the next block index."""
         with self._lock:
             i = self._cursor
             self._cursor += 1
@@ -197,52 +196,15 @@ def multiply_block(
     acc.add(block_id, sums[0], sums[1])
 
 
-class PlanBlockSource:
-    """Block source over a fully-materialized in-memory plan.
-
-    The *source* abstraction is what lets one executor serve both resident
-    plans and mmap-backed containers: the only thing the executor needs
-    beyond the (possibly lazy) record sequences is a pristine raw block for
-    ``degrade``-policy substitution.
-    """
-
-    mapped_bytes = 0
-
-    def __init__(self, plan: MatrixCompression):
-        self._plan = plan
-
-    def raw_block(self, i: int) -> CSRBlock:
-        """The retained raw CSR partition block."""
-        return self._plan.blocked.blocks[i]
-
-    @property
-    def pages_touched(self) -> int:
-        return 0
-
-
-class MmapBlockSource:
-    """Block source over a :class:`~repro.codecs.container.ContainerReader`.
-
-    The plan's blocked structure holds shell blocks (row metadata only), so
-    ``degrade`` substitution cannot read a retained partition; instead the
-    pristine mapped records are decoded on demand — bit-identical to the
-    block the eager loader would have retained, at O(block) residency.
-    """
-
-    def __init__(self, reader, plan: MatrixCompression):
-        self._reader = reader
-        self._plan = plan
-
-    def raw_block(self, i: int) -> CSRBlock:
-        return self._plan.decompress_block(i)
-
-    @property
-    def mapped_bytes(self) -> int:
-        return self._reader.nbytes
-
-    @property
-    def pages_touched(self) -> int:
-        return self._reader.pages_touched
+def check_operand(x, ncols: int, fused: bool) -> np.ndarray:
+    """The executor's entry check on the dense operand, for every schedule:
+    shape ``(ncols,)`` for SpMV, ``(ncols, k)`` for fused SpMM."""
+    x = np.ascontiguousarray(x, dtype=VALUE_DTYPE)
+    if fused and (x.ndim != 2 or x.shape[0] != ncols):
+        raise ValueError(f"X must have shape ({ncols}, k), got {x.shape}")
+    if not fused and x.shape != (ncols,):
+        raise ValueError(f"x must have shape ({ncols},), got {x.shape}")
+    return x
 
 
 def _claim_out(shape: tuple, out: "np.ndarray | None") -> np.ndarray:
@@ -262,123 +224,253 @@ def _claim_out(shape: tuple, out: "np.ndarray | None") -> np.ndarray:
     return out
 
 
-def run_pipelined(
+# ---------------------------------------------------------------------------
+# The block step
+# ---------------------------------------------------------------------------
+
+
+class RunLedger:
+    """Per-block accounting of one run, folded once in block order.
+
+    ``dma[i]`` holds block *i*'s DMA seconds in charge order (two
+    ``dram -> udp`` records, then any ``degrade`` substitute) and
+    ``cpu[i]`` its decoded ``udp -> cpu`` bytes; ``log`` the DMA edge
+    bytes; ``failures`` the ``strict`` errors of schedules that go on past
+    a failed block. Picklable, so shard workers ship theirs back.
+    """
+
+    __slots__ = ("log", "dma", "cpu", "degraded", "failures")
+
+    def __init__(self, log: TrafficLog | None = None):
+        self.log = TrafficLog() if log is None else log
+        self.dma: dict[int, tuple[float, ...]] = {}
+        self.cpu: dict[int, int] = {}
+        self.degraded = 0
+        self.failures: dict[int, BlockDecodeError] = {}
+
+    def absorb(self, other: "RunLedger") -> None:
+        """Merge a shard worker's ledger (its blocks are disjoint from ours)."""
+        self.dma.update(other.dma)
+        self.cpu.update(other.cpu)
+        self.degraded += other.degraded
+        self.failures.update(other.failures)
+        for (src, dst), nbytes in sorted(other.log.edges().items()):
+            self.log.record(src, dst, nbytes)
+
+    def fold(self) -> float:
+        """The run's ``dma_seconds``, summed in block order, after recording
+        the ``udp -> cpu`` bytes into ``log`` (once per run, not per block).
+
+        Raises the lowest failing block's error: the one a serial run
+        stops at.
+        """
+        if self.failures:
+            raise self.failures[min(self.failures)]
+        if self.cpu:
+            self.log.record("udp", "cpu", sum(self.cpu.values()))
+        total = 0.0
+        for i in sorted(self.dma):
+            for seconds in self.dma[i]:
+                total += seconds
+        return total
+
+
+def raw_block(plan: MatrixCompression, i: int) -> CSRBlock:
+    """The pristine raw block that replaces a failed decode under ``degrade``:
+    the retained raw CSR partition of an in-memory plan (records in a
+    tuple), else — streaming plans hold shell blocks — a decode of the
+    pristine records, bit-identical to what an eager load would retain."""
+    if isinstance(plan.index_records, tuple):
+        return plan.blocked.blocks[i]
+    return plan.decompress_block(i)
+
+
+def _streamed_intact(plan: MatrixCompression, i: int, recs: tuple) -> bool:
+    """Whether the DMA-streamed records are the stored ones (no DRAM fault)."""
+    return recs[0] is plan.index_records[i] and recs[1] is plan.value_records[i]
+
+
+def block_source(
     plan: MatrixCompression,
+    *,
+    engine: RecodeEngine | None = None,
+    matrix_id: str = "",
+    use_udp_simulator: bool = False,
+) -> Callable[[int, tuple], CSRBlock]:
+    """Where a run's blocks come from: ``source(i, streamed_records)``
+    returns block *i* decoded, or raises :class:`CodecError`.
+
+    The cycle-level UDP toolchain, else the (cache-aware) engine, else
+    ``plan.decompress_block``. A block whose streamed copy a DRAM-side
+    fault corrupted always decodes exactly what arrived.
+    """
+    if use_udp_simulator:
+        from repro.udp.lane import Lane
+        from repro.udp.runtime import DecoderToolchain
+
+        toolchain = DecoderToolchain(plan)
+        lane = Lane()
+
+        def udp(i: int, _recs) -> CSRBlock:
+            idx_chain = toolchain.run_chain(i, "index", lane=lane)
+            val_chain = toolchain.run_chain(i, "value", lane=lane)
+            if not (idx_chain.verified and val_chain.verified):
+                raise BlockDecodeError(
+                    f"UDP decode failed verification at block {i}", block_id=i
+                )
+            return plan.assemble_block(i, idx_chain.output, val_chain.output)
+
+        return udp
+
+    def direct(i: int, recs) -> CSRBlock:
+        if engine is not None and _streamed_intact(plan, i, recs):
+            return engine.decode_block(plan, i, matrix_id=matrix_id)
+        return plan.decompress_block(i, index_record=recs[0], value_record=recs[1])
+
+    return direct
+
+
+class BlockStep:
+    """The per-block step every schedule runs (see the module docstring).
+
+    Calling it is the blocked kernels' ``recode`` hook (blocks in order,
+    off its own cursor). Without a ``memory`` it is the session-warm
+    variant: resident blocks, nothing streamed or charged.
+    """
+
+    __slots__ = (
+        "plan", "source", "dma", "ledger", "policy", "cancel", "span", "cursor",
+    )
+
+    def __init__(
+        self,
+        plan: MatrixCompression,
+        source: Callable[[int, tuple], CSRBlock],
+        *,
+        ledger: RunLedger,
+        policy: str = "strict",
+        memory: MemorySystem | None = None,
+        cancel: "Callable[[], bool] | None" = None,
+        span: str = "spmv.block",
+    ):
+        self.plan = plan
+        self.source = source
+        self.dma = DMAEngine(memory, log=ledger.log) if memory is not None else None
+        self.ledger = ledger
+        self.policy = policy
+        self.cancel = cancel
+        self.span = span
+        self.cursor = 0
+
+    def __call__(self, _stored: CSRBlock) -> CSRBlock:
+        i = self.cursor
+        self.cursor = i + 1
+        return self.run(i)
+
+    def run(self, i: int) -> CSRBlock:
+        """Stream, decode and settle block *i*."""
+        if self.dma is None:
+            return self.settle(i, self.source(i, None))
+        with obs.trace(self.span, block=i):
+            recs = self.stream(i)
+            try:
+                block = self.source(i, recs)
+            except CodecError as exc:
+                return self.settle(i, error=exc)
+            return self.settle(i, block)
+
+    def stream(self, i: int) -> tuple:
+        """Poll ``cancel``, stream block *i*'s two records out of DRAM and
+        charge their ``dram -> udp`` DMA into ledger slot *i*."""
+        if self.cancel is not None and self.cancel():
+            raise RunCancelled(blocks_done=i)
+        plan, memory, transfer = self.plan, self.dma.memory, self.dma.transfer
+        idx_rec = memory.stream_record(plan.index_records[i], i, "index")
+        val_rec = memory.stream_record(plan.value_records[i], i, "value")
+        self.ledger.dma[i] = (
+            transfer(idx_rec.stored_bytes, "dram", "udp").seconds,
+            transfer(val_rec.stored_bytes, "dram", "udp").seconds,
+        )
+        return idx_rec, val_rec
+
+    def settle(
+        self, i: int, block: CSRBlock | None = None, error: CodecError | None = None
+    ) -> CSRBlock:
+        """Finish block *i*: record its ``udp -> cpu`` bytes, or apply the
+        failure policy to ``error``."""
+        if error is None:
+            self.ledger.cpu[i] = 12 * block.nnz
+            return block
+        if self.policy == "strict":
+            if isinstance(error, BlockDecodeError):
+                raise error
+            raise BlockDecodeError(
+                f"block {i} failed to decode: {error}", block_id=i
+            ) from error
+        raw = raw_block(self.plan, i)
+        self.ledger.dma[i] += (self.dma.transfer(12 * raw.nnz, "dram", "cpu").seconds,)
+        self.ledger.degraded += 1
+        return raw
+
+
+# ---------------------------------------------------------------------------
+# Pipelined schedule: overlap block decode with multiply
+# ---------------------------------------------------------------------------
+
+
+def run_pipelined(
+    step: BlockStep,
     x: np.ndarray,
     *,
-    memory: MemorySystem,
-    dma: DMAEngine,
-    log: TrafficLog,
     engine: RecodeEngine,
     matrix_id: str,
-    policy: str,
     depth: int,
-    counters: RunCounters,
-    source: "PlanBlockSource | MmapBlockSource | None" = None,
-    cancel: "Callable[[], bool] | None" = None,
     out: "np.ndarray | None" = None,
-) -> tuple[np.ndarray, float]:
-    """Execute one pipelined recoded SpMV (1-D ``x``) or SpMM (2-D ``x``).
+) -> np.ndarray:
+    """The pipelined schedule of one recoded SpMV (1-D ``x``) or SpMM (2-D).
 
-    ``source`` supplies pristine raw blocks for ``degrade`` substitution —
-    defaults to the in-memory :class:`PlanBlockSource`; pass an
-    :class:`MmapBlockSource` when ``plan`` is a streaming container view.
-    ``cancel`` is polled once per consumed block; when it returns True the
-    handle is closed (in-flight pool chunks finish and are dropped) and
-    :class:`RunCancelled` is raised. ``out`` is an optional preallocated
-    accumulator (see :func:`_claim_out`).
-
-    Returns ``(result, dma_seconds)``; degraded-block accounting lands on
-    ``counters``. Raises the same :class:`BlockDecodeError` the serial
-    executor would (lowest failing block id) under ``policy="strict"``.
+    Streams every block in block order (the paper's DMA prefetch), then
+    settles decode completions as they land — the engine pool decodes up
+    to ``depth`` chunks ahead — into one :class:`BlockAccumulator`.
+    ``step.cancel`` is also polled per completion (closing the handle
+    drops in-flight chunks); ``strict`` failures land in the ledger.
     """
-    if source is None:
-        source = PlanBlockSource(plan)
-    reg = obs.registry()
-    blocked = plan.blocked
-    nblocks = plan.nblocks
-    nrows = blocked.shape[0]
-    shape = (nrows,) if x.ndim == 1 else (nrows, x.shape[1])
-    out = _claim_out(shape, out)
-    acc = BlockAccumulator(blocked.blocks, out)
+    plan, ledger, cancel = step.plan, step.ledger, step.cancel
+    out = _claim_out((plan.blocked.shape[0],) + x.shape[1:], out)
+    acc = BlockAccumulator(plan.blocked.blocks, out)
 
-    # Stage 1 — stream every block's compressed records out of DRAM, in
-    # block order (the paper's DMA prefetch). Per-block wire seconds are
-    # kept aside and folded in block order at the end so dma_seconds
-    # reproduces the serial executor's float-addition sequence exactly.
-    dma_idx = [0.0] * nblocks
-    dma_val = [0.0] * nblocks
-    dma_deg: dict[int, float] = {}
-    direct: dict[int, tuple] = {}
     engine_ids: list[int] = []
-    with obs.trace("spmv.pipeline.stream", nblocks=nblocks):
-        for i in range(nblocks):
-            idx_rec = memory.stream_record(plan.index_records[i], i, "index")
-            val_rec = memory.stream_record(plan.value_records[i], i, "value")
-            dma_idx[i] = dma.transfer(idx_rec.stored_bytes, "dram", "udp").seconds
-            dma_val[i] = dma.transfer(val_rec.stored_bytes, "dram", "udp").seconds
-            if (
-                idx_rec is not plan.index_records[i]
-                or val_rec is not plan.value_records[i]
-            ):
-                # A DRAM-side fault corrupted the streamed copy: this
-                # block must decode exactly what arrived, never the
-                # engine's cached/pristine view.
-                direct[i] = (idx_rec, val_rec)
-            else:
+    direct: list[tuple[int, tuple]] = []
+    with obs.trace("spmv.pipeline.stream", nblocks=plan.nblocks):
+        for i in range(plan.nblocks):
+            recs = step.stream(i)
+            if _streamed_intact(plan, i, recs):
                 engine_ids.append(i)
-
-    failures: dict[int, BlockDecodeError] = {}
-
-    def degrade_block(i: int) -> None:
-        """Substitute block ``i`` from the source's pristine raw view."""
-        raw = source.raw_block(i)
-        dma_deg[i] = dma.transfer(12 * raw.nnz, "dram", "cpu").seconds
-        counters.add_degraded()
-        reg.counter("spmv.degraded_blocks").inc()
-        multiply_block(raw, x, acc, i)
-
-    def consume(i: int, block: CSRBlock) -> None:
-        with obs.trace("spmv.pipeline.multiply", block=i):
-            multiply_block(block, x, acc, i)
-        log.record("udp", "cpu", 12 * block.nnz)
-
-    # Stage 2 — blocks whose streamed copies were corrupted bypass the
-    # engine (rare: DRAM-site chaos runs only).
-    for i in sorted(direct):
-        if cancel is not None and cancel():
-            raise RunCancelled(blocks_done=i)
-        idx_rec, val_rec = direct[i]
-        try:
-            block = plan.decompress_block(
-                i, index_record=idx_rec, value_record=val_rec
-            )
-        except CodecError as exc:
-            if policy == "strict":
-                if isinstance(exc, BlockDecodeError):
-                    failures[i] = exc
-                else:
-                    err = BlockDecodeError(
-                        f"block {i} failed to decode: {exc}", block_id=i
-                    )
-                    err.__cause__ = exc
-                    failures[i] = err
             else:
-                degrade_block(i)
-        else:
-            consume(i, block)
+                direct.append((i, recs))
 
-    # Stage 3 — overlapped decode/multiply: consume engine completions as
-    # they land, multiplying on this thread while the pool decodes ahead.
+    def direct_blocks():
+        # Blocks whose streamed copies a DRAM-side fault corrupted decode
+        # exactly what arrived, bypassing the engine.
+        for i, recs in direct:
+            try:
+                yield i, step.source(i, recs), None
+            except CodecError as exc:
+                yield i, None, exc
+
+    reg = obs.registry()
     handle = engine.decode_blocks_async(
         plan, engine_ids, matrix_id=matrix_id, max_inflight=depth
     )
+    completions = itertools.chain(direct_blocks(), (
+        (i, None, res.error) if isinstance(res, BlockFailure) else (i, res, None)
+        for i, res in handle
+    ))
     queue_hist = reg.histogram("spmv.pipeline.queue_depth")
     inflight_gauge = reg.gauge("spmv.pipeline.inflight")
     wait_s = 0.0
     idle_decode_s = 0.0
     multiply_s = 0.0
-    it = iter(handle)
     consumed = 0
     while True:
         if cancel is not None and cancel():
@@ -388,23 +480,22 @@ def run_pipelined(
         queue_hist.observe(handle.ready)
         inflight_gauge.set(handle.inflight)
         t0 = time.perf_counter()
-        try:
-            i, res = next(it)
-        except StopIteration:
-            wait_s += time.perf_counter() - t0
-            break
+        item = next(completions, None)
         wait_s += time.perf_counter() - t0
+        if item is None:
+            break
+        i, block, error = item
         # With nothing left in flight the decoders sit idle while we
         # multiply — the signal that a deeper prefetch would help.
         starved = handle.inflight == 0
         t1 = time.perf_counter()
-        if isinstance(res, BlockFailure):
-            if policy == "strict":
-                failures[i] = res.error
-            else:
-                degrade_block(i)
+        try:
+            block = step.settle(i, block, error)
+        except BlockDecodeError as err:
+            ledger.failures[i] = err
         else:
-            consume(i, res)
+            with obs.trace("spmv.pipeline.multiply", block=i):
+                multiply_block(block, x, acc, i)
         dt = time.perf_counter() - t1
         multiply_s += dt
         consumed += 1
@@ -415,26 +506,14 @@ def run_pipelined(
     reg.counter("spmv.pipeline.multiply_idle_seconds").inc(wait_s)
     reg.counter("spmv.pipeline.decode_idle_seconds").inc(idle_decode_s)
     reg.counter("spmv.pipeline.multiply_seconds").inc(multiply_s)
-
-    if failures:
-        # Serial raises at its first failing block; the pipeline has seen
-        # them all, so the lowest block id reproduces that error exactly.
-        raise failures[min(failures)]
-
-    with obs.trace("spmv.pipeline.merge"):
-        acc.finalize()
-
-    dma_seconds = 0.0
-    for i in range(nblocks):
-        dma_seconds += dma_idx[i]
-        dma_seconds += dma_val[i]
-        if i in dma_deg:
-            dma_seconds += dma_deg[i]
-    return out, dma_seconds
+    if not ledger.failures:
+        with obs.trace("spmv.pipeline.merge"):
+            acc.finalize()
+    return out
 
 
 # ---------------------------------------------------------------------------
-# Row-range sharding: contiguous block shards on worker processes
+# Sharded schedule: contiguous block ranges on worker processes
 # ---------------------------------------------------------------------------
 
 
@@ -471,84 +550,43 @@ def _shard_worker(
     kernel_backend: str,
     residency_budget: int | None,
 ) -> dict:
-    """Run one contiguous block shard inside a worker process.
-
-    Opens its own :class:`~repro.codecs.container.ContainerReader` over the
-    container (each worker maps the file independently — pages fault in on
-    demand) and executes the serial engine-less decode/multiply loop over
-    its blocks. Nothing is accumulated here: per-block ``(rows, seg)``
-    segment sums, per-block DMA seconds, traffic-edge byte totals, and
-    failures ship back to the parent, which folds them through one
-    :class:`BlockAccumulator` so the result is bit-identical to serial no
-    matter how the blocks were sharded.
-    """
+    """Run the serial schedule over one contiguous block shard, on its own
+    mapping of the container. It accumulates nothing: per-block ``(rows,
+    seg)`` segment sums and the shard's :class:`RunLedger` ship back for
+    the parent to fold. Like serial, a ``strict`` shard stops at its first
+    failing block."""
     from repro.codecs.container import ContainerReader
 
     t0 = time.perf_counter()
-    ctx = fault_plan.activate() if fault_plan is not None else None
-    if ctx is not None:
-        ctx.__enter__()
-    try:
-        with kernels.use_backend(kernel_backend):
-            with ContainerReader(
-                path, verify=verify, residency_budget=residency_budget
-            ) as reader:
-                plan = reader.plan()
-                log = TrafficLog()
-                dma = DMAEngine(memory, log=log)
-                segments: list[tuple[int, np.ndarray, np.ndarray]] = []
-                dma_idx: dict[int, float] = {}
-                dma_val: dict[int, float] = {}
-                dma_deg: dict[int, float] = {}
-                failures: dict[int, tuple[str, int | None]] = {}
-                degraded = 0
-                for i in block_ids:
-                    idx_rec = memory.stream_record(plan.index_records[i], i, "index")
-                    val_rec = memory.stream_record(plan.value_records[i], i, "value")
-                    dma_idx[i] = dma.transfer(idx_rec.stored_bytes, "dram", "udp").seconds
-                    dma_val[i] = dma.transfer(val_rec.stored_bytes, "dram", "udp").seconds
-                    try:
-                        block = plan.decompress_block(
-                            i, index_record=idx_rec, value_record=val_rec
-                        )
-                    except CodecError as exc:
-                        if policy == "strict":
-                            if isinstance(exc, BlockDecodeError):
-                                failures[i] = (str(exc), exc.block_id)
-                            else:
-                                failures[i] = (
-                                    f"block {i} failed to decode: {exc}", i
-                                )
-                            continue
-                        # degrade: decode the pristine mapped records —
-                        # bit-identical to the raw block an eager loader
-                        # would have retained.
-                        raw = plan.decompress_block(i)
-                        dma_deg[i] = dma.transfer(12 * raw.nnz, "dram", "cpu").seconds
-                        degraded += 1
-                        sums = block_row_sums(raw, x)
-                        if sums is not None:
-                            segments.append((i, sums[0], sums[1]))
-                        continue
-                    sums = block_row_sums(block, x)
-                    if sums is not None:
-                        segments.append((i, sums[0], sums[1]))
-                    log.record("udp", "cpu", 12 * block.nnz)
-                return {
-                    "segments": segments,
-                    "dma_idx": dma_idx,
-                    "dma_val": dma_val,
-                    "dma_deg": dma_deg,
-                    "edges": log.edges(),
-                    "failures": failures,
-                    "degraded": degraded,
-                    "pages_touched": reader.pages_touched,
-                    "mapped_bytes": reader.nbytes,
-                    "wall_seconds": time.perf_counter() - t0,
-                }
-    finally:
-        if ctx is not None:
-            ctx.__exit__(None, None, None)
+    with contextlib.ExitStack() as stack:
+        if fault_plan is not None:
+            stack.enter_context(fault_plan.activate())
+        stack.enter_context(kernels.use_backend(kernel_backend))
+        reader = stack.enter_context(
+            ContainerReader(path, verify=verify, residency_budget=residency_budget)
+        )
+        plan = reader.plan()
+        ledger = RunLedger()
+        step = BlockStep(
+            plan, block_source(plan), ledger=ledger, policy=policy, memory=memory
+        )
+        segments: list[tuple[int, np.ndarray, np.ndarray]] = []
+        for i in block_ids:
+            try:
+                block = step.run(i)
+            except BlockDecodeError as err:
+                ledger.failures[i] = err
+                break
+            sums = block_row_sums(block, x)
+            if sums is not None:
+                segments.append((i, sums[0], sums[1]))
+        return {
+            "segments": segments,
+            "ledger": ledger,
+            "pages_touched": reader.pages_touched,
+            "mapped_bytes": reader.nbytes,
+            "wall_seconds": time.perf_counter() - t0,
+        }
 
 
 def run_sharded(
@@ -565,14 +603,15 @@ def run_sharded(
 ) -> tuple[np.ndarray, float, dict]:
     """Scatter-gather recoded SpMV/SpMM over contiguous block shards.
 
-    Each shard runs on its own worker process against its own mapping of
-    the container (``reader`` must be path-backed). Workers return raw
-    per-block segment sums; the parent folds them all through one
+    Each shard runs the serial schedule on its own worker process against
+    its own mapping of the container (``reader`` must be path-backed).
+    The parent folds every worker's per-block segment sums through one
     :class:`BlockAccumulator`, whose leading-partial deferral makes the
     result bit-identical to serial for *any* contiguous partition — split
-    rows at shard boundaries included. Traffic-edge byte totals are exact
-    integer sums and per-block DMA seconds are folded in global block
-    order, so ``TrafficLog`` and ``dma_seconds`` also match serial exactly.
+    rows at shard boundaries included — and absorbs every worker's ledger
+    into one whose fold reproduces serial ``TrafficLog`` totals (recorded
+    into ``log``), ``dma_seconds`` and errors exactly. Degraded blocks are
+    counted on ``counters``.
 
     Returns ``(result, dma_seconds, oocore_info)`` where ``oocore_info``
     carries the ``spmv.oocore.*`` measurements (bytes mapped, pages
@@ -591,78 +630,37 @@ def run_sharded(
         if covered != list(range(nblocks)):
             raise ValueError("shard bounds must cover all blocks contiguously")
         bounds = tuple(r for r in bounds if len(r))
-    shell_blocks = reader.shell_blocks()
-    nrows = reader.shape[0]
-    shape = (nrows,) if x.ndim == 1 else (nrows, x.shape[1])
-    out = _claim_out(shape, out)
-    acc = BlockAccumulator(shell_blocks, out)
-    fault_plan = faults.active()
-    backend = kernels.backend()
-
-    results: list[dict] = []
+    out = _claim_out((reader.shape[0],) + x.shape[1:], out)
     if not bounds:
         return out, 0.0, {
             "shards": 0, "mapped_bytes": 0, "pages_touched": 0,
             "shard_seconds": [], "shard_skew": 1.0,
         }
+    acc = BlockAccumulator(reader.shell_blocks(), out)
+    fault_plan = faults.active()
+    backend = kernels.backend()
+
     with obs.trace("spmv.oocore.scatter", shards=len(bounds), nblocks=nblocks):
         with concurrent.futures.ProcessPoolExecutor(max_workers=len(bounds)) as pool:
             futs = [
                 pool.submit(
-                    _shard_worker,
-                    reader.path,
-                    reader.verify,
-                    list(r),
-                    x,
-                    policy,
-                    memory,
-                    fault_plan,
-                    backend,
-                    reader.residency_budget,
+                    _shard_worker, reader.path, reader.verify, list(r), x, policy,
+                    memory, fault_plan, backend, reader.residency_budget,
                 )
                 for r in bounds
             ]
-            for fut in futs:
-                results.append(fut.result())
-
-    failures: dict[int, tuple[str, int | None]] = {}
-    for res in results:
-        failures.update(res["failures"])
-    if failures:
-        # Serial raises at its first failing block; the lowest block id
-        # across all shards reproduces that error exactly.
-        first = min(failures)
-        msg, block_id = failures[first]
-        raise BlockDecodeError(msg, block_id=block_id)
+            results = [fut.result() for fut in futs]
 
     with obs.trace("spmv.oocore.gather", shards=len(results)):
-        degraded_total = 0
-        dma_idx: dict[int, float] = {}
-        dma_val: dict[int, float] = {}
-        dma_deg: dict[int, float] = {}
-        edge_totals: dict[tuple[str, str], int] = {}
+        ledger = RunLedger(log)
+        for res in results:
+            ledger.absorb(res["ledger"])
+        dma_seconds = ledger.fold()
         for res in results:
             for i, rows, seg in res["segments"]:
                 acc.add(i, rows, seg)
-            dma_idx.update(res["dma_idx"])
-            dma_val.update(res["dma_val"])
-            dma_deg.update(res["dma_deg"])
-            for edge, nbytes in res["edges"].items():
-                edge_totals[edge] = edge_totals.get(edge, 0) + nbytes
-            degraded_total += res["degraded"]
-        for (src, dst), nbytes in sorted(edge_totals.items()):
-            log.record(src, dst, nbytes)
-        if degraded_total:
-            counters.add_degraded(degraded_total)
-            obs.registry().counter("spmv.degraded_blocks").inc(degraded_total)
         acc.finalize()
-
-    dma_seconds = 0.0
-    for i in range(nblocks):
-        dma_seconds += dma_idx.get(i, 0.0)
-        dma_seconds += dma_val.get(i, 0.0)
-        if i in dma_deg:
-            dma_seconds += dma_deg[i]
+    counters.add_degraded(ledger.degraded)
 
     shard_seconds = [res["wall_seconds"] for res in results]
     mean_s = sum(shard_seconds) / len(shard_seconds)

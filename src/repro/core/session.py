@@ -26,14 +26,15 @@ repeated accesses. :class:`ExecutionSession` makes that path first-class:
   record's CRC is checked on first touch and skipped afterwards.
 
 Once every block of the plan has decoded cleanly into the session cache,
-calls take the *warm fast path*: blocks multiply straight out of the
-cache through the exact same blocked kernels — no DRAM stream, no DMA
+calls take the *warm schedule*: the serial schedule of the one
+:class:`~repro.core.executor.BlockStep`, with the cache as the block
+source, through the exact same blocked kernels — no DRAM stream, no DMA
 charge, no decode — which is what drives per-iteration cost below the
 0.5x-of-cold gate and keeps solver end-to-end DRAM traffic at
 "decode once, then vectors only".
 
 Fault semantics are preserved conservatively: while a
-:class:`~repro.faults.FaultPlan` is armed the fast path is disabled
+:class:`~repro.faults.FaultPlan` is armed the warm schedule is disabled
 outright, so chaos runs exercise the full stream/decode/degrade
 machinery on *every* iteration with honest per-iteration traffic
 accounting. Scrub (:meth:`ContainerReader.record_health`) always
@@ -42,6 +43,7 @@ re-checks CRCs regardless of the session memo.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import time
 from os import PathLike
@@ -52,10 +54,16 @@ from repro import faults, obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine, plan_fingerprint
 from repro.codecs.pipeline import MatrixCompression
-from repro.core.executor import DEFAULT_DEPTH
-from repro.core.spmv_pipeline import PipelineStats, recoded_spmm, recoded_spmv
+from repro.core.executor import DEFAULT_DEPTH, BlockStep, RunLedger, check_operand
+from repro.core.spmv_pipeline import (
+    PipelineStats,
+    open_plan,
+    record_run,
+    recoded_spmm,
+    recoded_spmv,
+)
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
-from repro.memsys.traffic import TrafficLog
+from repro.sparse.blocked import CSRBlock
 from repro.sparse.csr import VALUE_DTYPE
 from repro.sparse.spmm import spmm_blocked
 from repro.sparse.spmv import spmv_blocked
@@ -64,7 +72,7 @@ _session_ids = itertools.count()
 
 
 class _ColdBlock(Exception):
-    """Internal: a fast-path probe found a block missing from the cache."""
+    """Internal: a warm-schedule probe found a block missing from the cache."""
 
 
 class ExecutionSession:
@@ -84,12 +92,12 @@ class ExecutionSession:
         mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
             run under. ``shards > 0`` selects the sharded executor
             instead (path-backed containers only; decode happens in
-            shard workers, so no engine and no warm fast path — the
+            shard workers, so no engine and no warm schedule — the
             session still amortizes the reader walk and extents).
         depth / policy: forwarded to the executor on cold calls.
         reuse: ``False`` makes every call cold-per-call (the ablation
-            axis): the cache is cleared before each call, no warm fast
-            path, no CRC memo, fresh output buffers. Results are
+            axis): the cache is cleared before each call, no warm
+            schedule, no CRC memo, fresh output buffers. Results are
             bit-identical either way.
 
     ``spmv``/``spmm`` return ``(y, stats)`` exactly like the single-shot
@@ -122,29 +130,15 @@ class ExecutionSession:
         self.reuse = reuse
         self._closed = False
 
-        self.reader: ContainerReader | None = None
-        self._owns_reader = False
-        if isinstance(plan, MatrixCompression):
-            self.plan = plan
-        elif isinstance(plan, ContainerReader):
-            self.reader = plan
-        elif isinstance(plan, (str, PathLike)):
-            self.reader = ContainerReader(plan, verify="lazy")
-            self._owns_reader = True
-        else:
-            raise TypeError(
-                "plan must be a MatrixCompression, a ContainerReader, or a "
-                f".dsh path, got {type(plan).__name__}"
-            )
-        if self.reader is not None:
-            # Enable the memo before plan() so the construction pass
-            # (which materializes and CRC-checks every record once)
-            # populates it; later re-streams then skip the re-check.
-            if reuse:
-                self.reader.enable_crc_memo()
-            self.plan = self.reader.plan()
+        # Owned resources (a reader opened from a path, a session-built
+        # engine) close with the session; borrowed ones stay open.
+        self._owned = contextlib.ExitStack()
+        self.plan, self.reader = self._owned.enter_context(open_plan(plan))
+        if self.reader is not None and reuse:
+            # Before the fingerprint pass below materializes (and
+            # CRC-checks) every record once, so re-streams skip the check.
+            self.reader.enable_crc_memo()
 
-        self._owns_engine = False
         if shards:
             if engine is not None:
                 raise ValueError(
@@ -157,14 +151,12 @@ class ExecutionSession:
             # Budget covers every decoded block at 12 B/nnz, so nothing
             # evicts and the whole plan goes resident after one pass.
             cache = DecodedBlockCache(max_bytes=max(12 * self.plan.nnz, 4096))
-            self.engine = RecodeEngine(
-                workers=workers, executor=executor, cache=cache
+            self.engine = self._owned.enter_context(
+                RecodeEngine(workers=workers, executor=executor, cache=cache)
             )
-            self._owns_engine = True
 
         self._fingerprint = plan_fingerprint(self.plan)
         self._warm = False
-        self._fast_cursor = 0
         self._out: dict[tuple, np.ndarray] = {}
 
         # Cumulative session counters (plain ints; mirrored into the
@@ -183,10 +175,7 @@ class ExecutionSession:
         if self._closed:
             return
         self._closed = True
-        if self._owns_engine and self.engine is not None:
-            self.engine.close()
-        if self._owns_reader and self.reader is not None:
-            self.reader.close()
+        self._owned.close()
 
     def __enter__(self) -> "ExecutionSession":
         return self
@@ -209,7 +198,7 @@ class ExecutionSession:
 
     @property
     def warm(self) -> bool:
-        """Whether the next call can take the cache-resident fast path."""
+        """Whether the next call can take the cache-resident warm schedule."""
         return self._warm and self.reuse and faults.active() is None
 
     def _claim_buffer(self, shape: tuple, out: np.ndarray | None) -> np.ndarray:
@@ -226,60 +215,12 @@ class ExecutionSession:
             obs.registry().counter("session.out_buffer_reuses").inc()
         return buf
 
-    def _cached_recode(self, _stored):
-        i = self._fast_cursor
-        self._fast_cursor += 1
+    def _cached_block(self, i: int, _recs) -> "CSRBlock":
+        """The warm step's source: block *i* straight out of the cache."""
         block = self.engine.cache.get((self.matrix_id, i, self._fingerprint))
         if block is None:
             raise _ColdBlock(i)
-        self._fast_log.record("udp", "cpu", 12 * block.nnz)
         return block
-
-    def _fast_path(self, x: np.ndarray, kernel, out: np.ndarray, nrhs: int):
-        """Multiply straight out of the session cache.
-
-        Reuses the exact blocked kernels with a cache-probing ``recode``
-        hook, so the accumulation order — and therefore every result bit
-        — matches the cold executors. No DRAM stream, no DMA charge, no
-        record CRC, no decode.
-        """
-        self._fast_cursor = 0
-        self._fast_log = TrafficLog()
-        y = kernel(self.plan.blocked, x, recode=self._cached_recode, out=out)
-        log = self._fast_log
-        # Warm iterations are still iterations: keep the workload-side
-        # spmv.*/spmm.* accounting (iterations, flops, decoded bytes to
-        # the CPU) flowing even though the DRAM stream is skipped.
-        prefix = "spmm" if kernel is spmm_blocked else "spmv"
-        reg = obs.registry()
-        reg.counter(f"{prefix}.iterations").inc()
-        reg.counter(f"{prefix}.blocks").inc(self.plan.nblocks)
-        reg.counter(f"{prefix}.nnz").inc(self.plan.nnz)
-        reg.counter(f"{prefix}.flops").inc(2 * nrhs * self.plan.nnz)
-        reg.counter(f"{prefix}.bytes.udp_to_cpu").inc(log.bytes_on("udp", "cpu"))
-        reg.counter(f"{prefix}.bytes.baseline").inc(12 * self.plan.nnz)
-        return y, PipelineStats(
-            traffic=log,
-            dram_bytes=0,
-            baseline_dram_bytes=12 * self.plan.nnz,
-            dma_seconds=0.0,
-            engine_stats=self.engine.stats.as_dict(),
-            policy=self.policy,
-            degraded_blocks=0,
-            mode=self.mode,
-            nrhs=nrhs,
-        )
-
-    def _cold_kwargs(self) -> dict:
-        return dict(
-            memory=self.memory,
-            engine=self.engine,
-            matrix_id=self.matrix_id,
-            policy=self.policy,
-            mode=self.mode,
-            depth=self.depth,
-            shards=self.shards,
-        )
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:
         reg = obs.registry()
@@ -305,27 +246,42 @@ class ExecutionSession:
             reg.gauge("session.resident_bytes").set(st.current_bytes)
         reg.histogram("session.call_seconds").observe(seconds)
 
-    def _run(self, x, kernel, cold_fn, nrhs, out):
+    def _run(self, x, prefix, kernel, recoded, out):
+        """One call: the warm schedule when the whole plan is resident, else
+        a cold ``recoded`` run over the session's plan or reader."""
         if self._closed:
             raise RuntimeError("session is closed")
+        x = check_operand(x, self.plan.blocked.shape[1], fused=prefix == "spmm")
         start = time.perf_counter()
         if not self.reuse:
             self.reset()
-        shape = (
-            (self.plan.blocked.shape[0],)
-            if nrhs == 1 and x.ndim == 1
-            else (self.plan.blocked.shape[0], nrhs)
-        )
-        buf = self._claim_buffer(shape, out)
+        buf = self._claim_buffer((self.plan.blocked.shape[0],) + x.shape[1:], out)
         if self.warm:
+            # The warm schedule: the serial one with cache-resident blocks,
+            # so every result bit matches the cold executors. No DRAM
+            # stream, no DMA charge, no record CRC, no decode.
+            ledger = RunLedger()
+            step = BlockStep(self.plan, self._cached_block, ledger=ledger,
+                             policy=self.policy)
             try:
-                y, stats = self._fast_path(x, kernel, buf, nrhs)
-                self._record_call(True, self.plan.nblocks, time.perf_counter() - start)
-                return y, stats
+                y = kernel(self.plan.blocked, x, recode=step, out=buf)
             except _ColdBlock:
                 # Cache lost entries (external clear); fall back to cold.
                 self._warm = False
-        y, stats = cold_fn(buf)
+            else:
+                stats = record_run(
+                    prefix, self.plan, ledger, ledger.fold(), engine=self.engine,
+                    policy=self.policy, mode=self.mode,
+                    nrhs=1 if x.ndim == 1 else int(x.shape[1]), started=start,
+                )
+                self._record_call(True, self.plan.nblocks, time.perf_counter() - start)
+                return y, stats
+        y, stats = recoded(
+            self.reader if self.reader is not None else self.plan, x, out=buf,
+            memory=self.memory, engine=self.engine, matrix_id=self.matrix_id,
+            policy=self.policy, mode=self.mode, depth=self.depth,
+            shards=self.shards,
+        )
         # The run goes warm once every block decoded cleanly into the
         # session cache: engine-backed, nothing degraded, no armed fault
         # plan. Degraded/faulted runs stay cold so each iteration re-pays
@@ -347,28 +303,13 @@ class ExecutionSession:
     ) -> tuple[np.ndarray, PipelineStats]:
         """``y = A @ x`` with steady-state reuse. Returns ``(y, stats)``;
         ``y`` is the session buffer unless ``out`` is passed."""
-        source = self.reader if self.reader is not None else self.plan
-
-        def cold(buf):
-            return recoded_spmv(source, x, out=buf, **self._cold_kwargs())
-
-        return self._run(x, spmv_blocked, cold, 1, out)
+        return self._run(x, "spmv", spmv_blocked, recoded_spmv, out)
 
     def spmm(
         self, x: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, PipelineStats]:
         """Fused ``Y = A @ X`` for ``k`` right-hand sides over the session."""
-        x = np.ascontiguousarray(x, dtype=VALUE_DTYPE)
-        if x.ndim != 2 or x.shape[0] != self.plan.blocked.shape[1]:
-            raise ValueError(
-                f"X must have shape ({self.plan.blocked.shape[1]}, k), got {x.shape}"
-            )
-        source = self.reader if self.reader is not None else self.plan
-
-        def cold(buf):
-            return recoded_spmm(source, x, out=buf, **self._cold_kwargs())
-
-        return self._run(x, spmm_blocked, cold, int(x.shape[1]), out)
+        return self._run(x, "spmm", spmm_blocked, recoded_spmm, out)
 
     # -- introspection -----------------------------------------------------
 

@@ -1,39 +1,34 @@
 """Functional end-to-end recoded SpMV/SpMM (paper Figs. 6-7).
 
-``y = A @ x`` where A lives in DRAM as a DSH-compressed block plan:
+``y = A @ x`` where A lives in DRAM as a DSH-compressed block plan. Each
+block runs the one :class:`~repro.core.executor.BlockStep`: the DMA engine
+streams its compressed records into UDP local memory (``dram -> udp``),
+the UDP recodes them back to raw CSR streams (``recode(DSH_unpack, ...)``
+in the paper's listing; functionally here, or on the cycle-level UDP
+programs), and the CPU multiplies the block (``udp -> cpu``).
 
-1. the DMA engine streams each block's compressed records into UDP local
-   memory (traffic edge ``dram -> udp``);
-2. the UDP recodes them back to raw CSR block streams (``recode(DSH_unpack,
-   ...)`` in the paper's listing) — functionally here, with an option to
-   run the actual cycle-level UDP programs;
-3. the CPU multiplies the block (traffic edge ``udp -> cpu``).
-
-Two execution modes share one contract:
-
-* ``mode="serial"`` — decode block *i*, multiply block *i*, advance. The
-  original executor; also the reference the pipelined mode is tested
-  bit-exactly against.
-* ``mode="pipelined"`` — the paper's overlap (UDP recodes block *i+1*
-  while the CPU multiplies block *i*): block decodes are submitted
-  asynchronously to a :class:`~repro.codecs.engine.RecodeEngine` pool
-  with bounded prefetch ``depth``, and decoded blocks multiply as they
-  complete. See :mod:`repro.core.executor`. Result vector, TrafficLog
-  byte totals, ``dma_seconds``, degraded-block accounting, and raised
-  error types are all bit-identical to serial.
+:func:`recoded_spmv` / :func:`recoded_spmm` check the operand once, then
+pick one of the step's schedules (see :mod:`repro.core.executor`):
+``mode="serial"`` (block order; the reference), ``mode="pipelined"`` (the
+paper's overlap: a :class:`~repro.codecs.engine.RecodeEngine` pool decodes
+up to ``depth`` chunks ahead while blocks multiply as they complete), or
+``shards=N`` (the serial schedule over block ranges in worker processes).
+Every schedule fills one per-run ledger folded in block order, so results,
+TrafficLog byte totals, ``dma_seconds``, degraded-block accounting and
+raised errors are bit-identical across them; :func:`record_run` turns it
+into :class:`PipelineStats` and emits the per-run metrics.
 
 :func:`recoded_spmm` fuses multiple right-hand sides: each block is
-streamed and decoded **once** and multiplied against all ``k`` columns,
-so A-traffic is paid once instead of ``k`` times.
-
-Besides the numerically verified result, the run produces a
-:class:`PipelineStats` whose traffic log proves the headline byte claim:
-DRAM traffic for A shrinks by the compression ratio.
+streamed and decoded **once** for all ``k`` columns. The traffic log
+proves the headline byte claim: DRAM traffic for A shrinks by the
+compression ratio.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from os import PathLike
 
@@ -42,25 +37,21 @@ import numpy as np
 from repro import obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import RecodeEngine
-from repro.codecs.errors import BlockDecodeError, CodecError
 from repro.codecs.pipeline import MatrixCompression
 from repro.core.executor import (
     DEFAULT_DEPTH,
-    MmapBlockSource,
-    PlanBlockSource,
-    RunCancelled,
+    BlockStep,
     RunCounters,
+    RunLedger,
+    block_source,
+    check_operand,
     run_pipelined,
     run_sharded,
 )
-from repro.memsys.dma import DMAEngine
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
 from repro.memsys.traffic import TrafficLog
-from repro.sparse.blocked import CSRBlock
 from repro.sparse.spmm import spmm_blocked
 from repro.sparse.spmv import spmv_blocked
-from repro.udp.lane import Lane
-from repro.udp.runtime import DecoderToolchain
 
 #: Execution modes accepted by :func:`recoded_spmv` / :func:`recoded_spmm`.
 MODES = ("serial", "pipelined")
@@ -107,7 +98,8 @@ class PipelineStats:
 
 
 def _validate(
-    policy: str, mode: str, depth: int, engine, use_udp_simulator: bool
+    policy: str, mode: str, depth: int, engine, use_udp_simulator: bool,
+    shards: int, reader, cancel,
 ) -> None:
     if policy not in ("strict", "degrade"):
         raise ValueError(f"policy must be 'strict' or 'degrade', got {policy!r}")
@@ -123,11 +115,6 @@ def _validate(
             )
         if depth < 1:
             raise ValueError(f"depth must be >= 1, got {depth}")
-
-
-def _validate_shards(
-    shards: int, reader, mode: str, engine, use_udp_simulator: bool
-) -> None:
     if shards < 0:
         raise ValueError(f"shards must be >= 0, got {shards}")
     if shards == 0:
@@ -143,27 +130,87 @@ def _validate_shards(
         raise ValueError("shards>0 decodes in shard workers; engine must be None")
     if use_udp_simulator:
         raise ValueError("shards>0 cannot run the cycle-level UDP simulator")
+    if cancel is not None:
+        raise ValueError(
+            "cancel is cooperative per-block and cannot reach shard worker "
+            "processes; use shards=0"
+        )
 
 
-def _resolve(
+@contextmanager
+def open_plan(
     plan: "MatrixCompression | ContainerReader | str | PathLike",
-) -> tuple[MatrixCompression, ContainerReader | None, bool]:
-    """Normalize the ``plan`` argument to ``(plan, reader, owned_reader)``.
+) -> Iterator[tuple[MatrixCompression, ContainerReader | None]]:
+    """Normalize the ``plan`` argument to ``(plan, reader)``.
 
     A path opens a lazy-verify :class:`ContainerReader` that the run owns
     (and closes); a reader is borrowed; an in-memory plan passes through.
     """
     if isinstance(plan, MatrixCompression):
-        return plan, None, False
-    if isinstance(plan, ContainerReader):
-        return plan.plan(), plan, False
-    if isinstance(plan, (str, PathLike)):
-        reader = ContainerReader(plan, verify="lazy")
-        return reader.plan(), reader, True
-    raise TypeError(
-        "plan must be a MatrixCompression, a ContainerReader, or a .dsh "
-        f"path, got {type(plan).__name__}"
+        yield plan, None
+    elif isinstance(plan, ContainerReader):
+        yield plan.plan(), plan
+    elif isinstance(plan, (str, PathLike)):
+        with ContainerReader(plan, verify="lazy") as reader:
+            yield reader.plan(), reader
+    else:
+        raise TypeError(
+            "plan must be a MatrixCompression, a ContainerReader, or a .dsh "
+            f"path, got {type(plan).__name__}"
+        )
+
+
+def record_run(
+    prefix: str,
+    plan: MatrixCompression,
+    ledger: RunLedger,
+    dma_seconds: float,
+    *,
+    engine: RecodeEngine | None,
+    policy: str,
+    mode: str,
+    nrhs: int,
+    started: float,
+    oocore: dict | None = None,
+) -> PipelineStats:
+    """Build one run's :class:`PipelineStats` and emit its per-run
+    ``spmv.*`` / ``spmm.*`` metrics — the one place every schedule,
+    session-warm included, reports through."""
+    log = ledger.log
+    stats = PipelineStats(
+        traffic=log,
+        dram_bytes=log.bytes_on("dram", "udp") + log.bytes_on("dram", "cpu"),
+        baseline_dram_bytes=12 * plan.nnz,
+        dma_seconds=dma_seconds,
+        engine_stats=engine.stats.as_dict() if engine is not None else None,
+        policy=policy,
+        degraded_blocks=ledger.degraded,
+        mode=mode,
+        nrhs=nrhs,
+        oocore=oocore,
     )
+    reg = obs.registry()
+    if oocore is not None:
+        reg.counter(f"{prefix}.oocore.runs").inc()
+        reg.counter(f"{prefix}.oocore.bytes_mapped").inc(oocore["mapped_bytes"])
+        reg.counter(f"{prefix}.oocore.pages_touched").inc(oocore["pages_touched"])
+        if oocore["shards"]:
+            reg.counter(f"{prefix}.oocore.shards").inc(oocore["shards"])
+            reg.gauge(f"{prefix}.oocore.shard_skew").set(oocore["shard_skew"])
+    reg.counter(f"{prefix}.iterations").inc()
+    reg.counter(f"{prefix}.blocks").inc(plan.nblocks)
+    reg.counter(f"{prefix}.nnz").inc(plan.nnz)
+    reg.counter(f"{prefix}.flops").inc(2 * nrhs * plan.nnz)
+    reg.counter(f"{prefix}.bytes.dram_to_udp").inc(log.bytes_on("dram", "udp"))
+    reg.counter(f"{prefix}.bytes.udp_to_cpu").inc(log.bytes_on("udp", "cpu"))
+    reg.counter(f"{prefix}.bytes.baseline").inc(stats.baseline_dram_bytes)
+    reg.counter(f"{prefix}.dma_seconds").inc(dma_seconds)
+    reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
+    if ledger.degraded:
+        reg.counter("spmv.degraded_blocks").inc(ledger.degraded)
+        reg.counter(f"{prefix}.degraded_iterations").inc()
+    reg.histogram(f"{prefix}.seconds").observe(time.perf_counter() - started)
+    return stats
 
 
 def _execute(
@@ -179,191 +226,65 @@ def _execute(
     depth: int,
     kernel,
     prefix: str,
-    nrhs: int,
     reader: ContainerReader | None = None,
     shards: int = 0,
     cancel=None,
     out: np.ndarray | None = None,
 ) -> tuple[np.ndarray, PipelineStats]:
     """Shared executor body for recoded SpMV (``prefix="spmv"``, 1-D ``x``)
-    and fused SpMM (``prefix="spmm"``, 2-D ``x``).
+    and fused SpMM (``prefix="spmm"``, 2-D ``x``): check the operand,
+    pick the schedule, fold the ledger, report.
 
     ``out`` is an optional preallocated accumulator (zero-filled by the
     executor) that sessions reuse across iterations; results are
     bit-identical with or without it.
     """
-    _validate(policy, mode, depth, engine, use_udp_simulator)
-    _validate_shards(shards, reader, mode, engine, use_udp_simulator)
-    if cancel is not None and shards:
-        raise ValueError(
-            "cancel is cooperative per-block and cannot reach shard worker "
-            "processes; use shards=0"
-        )
-    source = MmapBlockSource(reader, plan) if reader is not None else PlanBlockSource(plan)
-    pages_before = source.pages_touched
-    log = TrafficLog()
-    dma = DMAEngine(memory, log=log)
-    dma_seconds = 0.0
-    start = time.perf_counter()
-    counters = RunCounters()
-    oocore_info: dict | None = None
-
-    if shards:
-        n = plan.blocked.shape[1]
-        if x.ndim == 1 and x.shape[0] != n:
-            raise ValueError(f"x must have shape ({n},), got {x.shape}")
-        with obs.trace(
-            f"{prefix}.recoded",
-            nblocks=plan.nblocks,
-            matrix=matrix_id,
-            mode="sharded",
-        ):
-            y, dma_seconds, oocore_info = run_sharded(
-                reader,
-                x,
-                shards=shards,
-                memory=memory,
-                log=log,
-                policy=policy,
-                counters=counters,
-                out=out,
+    x = check_operand(x, plan.blocked.shape[1], fused=prefix == "spmm")
+    _validate(policy, mode, depth, engine, use_udp_simulator, shards, reader, cancel)
+    started = time.perf_counter()
+    pages_before = reader.pages_touched if reader is not None else 0
+    ledger = RunLedger()
+    oocore: dict | None = None
+    run_mode = "sharded" if shards else mode
+    with obs.trace(
+        f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=run_mode
+    ):
+        if shards:
+            counters = RunCounters()
+            y, dma_seconds, oocore = run_sharded(
+                reader, x, shards=shards, memory=memory, log=ledger.log,
+                policy=policy, counters=counters, out=out,
             )
-    elif mode == "pipelined":
-        with obs.trace(
-            f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id, mode=mode
-        ):
-            y, dma_seconds = run_pipelined(
-                plan,
-                x,
-                memory=memory,
-                dma=dma,
-                log=log,
-                engine=engine,
-                matrix_id=matrix_id,
-                policy=policy,
-                depth=depth,
-                counters=counters,
-                source=source,
-                cancel=cancel,
-                out=out,
+            ledger.degraded = counters.degraded
+        else:
+            source = block_source(
+                plan, engine=engine, matrix_id=matrix_id,
+                use_udp_simulator=use_udp_simulator,
             )
-    else:
-        toolchain = DecoderToolchain(plan) if use_udp_simulator else None
-        lane = Lane() if use_udp_simulator else None
-
-        def decode_one(i: int, idx_rec, val_rec) -> CSRBlock:
-            """Decode one block from its (DMA-streamed) records; raises
-            CodecError on failure."""
-            if toolchain is not None:
-                idx_chain = toolchain.run_chain(i, "index", lane=lane)
-                val_chain = toolchain.run_chain(i, "value", lane=lane)
-                if not (idx_chain.verified and val_chain.verified):
-                    raise BlockDecodeError(
-                        f"UDP decode failed verification at block {i}", block_id=i
-                    )
-                ref = plan.blocked.blocks[i]
-                return CSRBlock(
-                    row_start=ref.row_start,
-                    row_end=ref.row_end,
-                    row_ptr=ref.row_ptr,
-                    col_idx=np.frombuffer(idx_chain.output, dtype="<i4"),
-                    val=np.frombuffer(val_chain.output, dtype="<f8"),
-                    nnz_start=ref.nnz_start,
-                    leading_partial=ref.leading_partial,
+            step = BlockStep(
+                plan, source, ledger=ledger, policy=policy, memory=memory,
+                cancel=cancel, span=f"{prefix}.block",
+            )
+            if mode == "pipelined":
+                y = run_pipelined(
+                    step, x, engine=engine, matrix_id=matrix_id, depth=depth, out=out
                 )
-            streamed_faulty = (
-                idx_rec is not plan.index_records[i]
-                or val_rec is not plan.value_records[i]
-            )
-            if engine is not None and not streamed_faulty:
-                return engine.decode_block(plan, i, matrix_id=matrix_id)
-            # A DRAM-side fault corrupted the streamed copy: decode exactly
-            # what arrived (never the engine's cached/pristine view).
-            return plan.decompress_block(i, index_record=idx_rec, value_record=val_rec)
-
-        def recode(_stored: CSRBlock) -> CSRBlock:
-            if cancel is not None and cancel():
-                raise RunCancelled(blocks_done=counters.blocks_started)
-            i = counters.next_block()
-            idx_rec = memory.stream_record(plan.index_records[i], i, "index")
-            val_rec = memory.stream_record(plan.value_records[i], i, "value")
-            nonlocal dma_seconds
-            with obs.trace(f"{prefix}.block", block=i):
-                dma_seconds += dma.transfer(
-                    idx_rec.stored_bytes, "dram", "udp"
-                ).seconds
-                dma_seconds += dma.transfer(
-                    val_rec.stored_bytes, "dram", "udp"
-                ).seconds
-                try:
-                    block = decode_one(i, idx_rec, val_rec)
-                except CodecError as exc:
-                    if policy == "strict":
-                        if isinstance(exc, BlockDecodeError):
-                            raise
-                        raise BlockDecodeError(
-                            f"block {i} failed to decode: {exc}", block_id=i
-                        ) from exc
-                    # degrade: substitute the source's pristine raw block —
-                    # the retained CSR partition for in-memory plans, an
-                    # on-demand decode of the pristine mapped records for
-                    # mmap-backed ones. Result stays bit-exact either way;
-                    # the block streams uncompressed.
-                    counters.add_degraded()
-                    block = source.raw_block(i)
-                    dma_seconds += dma.transfer(
-                        12 * block.nnz, "dram", "cpu"
-                    ).seconds
-                    obs.registry().counter("spmv.degraded_blocks").inc()
-                    return block
-                log.record("udp", "cpu", 12 * block.nnz)
-            return block
-
-        with obs.trace(f"{prefix}.recoded", nblocks=plan.nblocks, matrix=matrix_id):
-            y = kernel(plan.blocked, x, recode=recode, out=out)
-
-    if reader is not None and oocore_info is None:
-        oocore_info = {
+            else:
+                y = kernel(plan.blocked, x, recode=step, out=out)
+            dma_seconds = ledger.fold()
+    if reader is not None and oocore is None:
+        oocore = {
             "shards": 0,
-            "mapped_bytes": source.mapped_bytes,
-            "pages_touched": source.pages_touched - pages_before,
+            "mapped_bytes": reader.nbytes,
+            "pages_touched": reader.pages_touched - pages_before,
             "shard_seconds": [],
             "shard_skew": 1.0,
         }
-    stats = PipelineStats(
-        traffic=log,
-        dram_bytes=log.bytes_on("dram", "udp") + log.bytes_on("dram", "cpu"),
-        baseline_dram_bytes=12 * plan.nnz,
-        dma_seconds=dma_seconds,
-        engine_stats=engine.stats.as_dict() if engine is not None else None,
-        policy=policy,
-        degraded_blocks=counters.degraded,
-        mode="sharded" if shards else mode,
-        nrhs=nrhs,
-        oocore=oocore_info,
+    stats = record_run(
+        prefix, plan, ledger, dma_seconds, engine=engine, policy=policy,
+        mode=run_mode, nrhs=1 if x.ndim == 1 else int(x.shape[1]),
+        started=started, oocore=oocore,
     )
-    reg = obs.registry()
-    if oocore_info is not None:
-        reg.counter(f"{prefix}.oocore.runs").inc()
-        reg.counter(f"{prefix}.oocore.bytes_mapped").inc(oocore_info["mapped_bytes"])
-        reg.counter(f"{prefix}.oocore.pages_touched").inc(
-            oocore_info["pages_touched"]
-        )
-        if shards:
-            reg.counter(f"{prefix}.oocore.shards").inc(oocore_info["shards"])
-            reg.gauge(f"{prefix}.oocore.shard_skew").set(oocore_info["shard_skew"])
-    reg.counter(f"{prefix}.iterations").inc()
-    reg.counter(f"{prefix}.blocks").inc(plan.nblocks)
-    reg.counter(f"{prefix}.nnz").inc(plan.nnz)
-    reg.counter(f"{prefix}.flops").inc(2 * nrhs * plan.nnz)
-    reg.counter(f"{prefix}.bytes.dram_to_udp").inc(log.bytes_on("dram", "udp"))
-    reg.counter(f"{prefix}.bytes.udp_to_cpu").inc(log.bytes_on("udp", "cpu"))
-    reg.counter(f"{prefix}.bytes.baseline").inc(stats.baseline_dram_bytes)
-    reg.counter(f"{prefix}.dma_seconds").inc(dma_seconds)
-    reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
-    if counters.degraded:
-        reg.counter(f"{prefix}.degraded_iterations").inc()
-    reg.histogram(f"{prefix}.seconds").observe(time.perf_counter() - start)
     return y, stats
 
 
@@ -434,8 +355,7 @@ def recoded_spmv(
     Returns:
         ``(y, stats)``.
     """
-    plan, reader, owned = _resolve(plan)
-    try:
+    with open_plan(plan) as (plan, reader):
         return _execute(
             plan,
             x,
@@ -448,15 +368,11 @@ def recoded_spmv(
             depth=depth,
             kernel=spmv_blocked,
             prefix="spmv",
-            nrhs=1,
             reader=reader,
             shards=shards,
             cancel=cancel,
             out=out,
         )
-    finally:
-        if owned:
-            reader.close()
 
 
 def recoded_spmm(
@@ -489,13 +405,7 @@ def recoded_spmm(
         ``(Y, stats)`` with ``Y.shape == (nrows, k)`` and
         ``stats.nrhs == k``.
     """
-    plan, reader, owned = _resolve(plan)
-    try:
-        x = np.ascontiguousarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != plan.blocked.shape[1]:
-            raise ValueError(
-                f"X must have shape ({plan.blocked.shape[1]}, k), got {x.shape}"
-            )
+    with open_plan(plan) as (plan, reader):
         return _execute(
             plan,
             x,
@@ -508,12 +418,8 @@ def recoded_spmm(
             depth=depth,
             kernel=spmm_blocked,
             prefix="spmm",
-            nrhs=int(x.shape[1]),
             reader=reader,
             shards=shards,
             cancel=cancel,
             out=out,
         )
-    finally:
-        if owned:
-            reader.close()

@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import obs
+from repro.codecs.container import save_plan
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine
 from repro.codecs.errors import BlockDecodeError
 from repro.codecs.pipeline import compress_matrix
@@ -315,6 +316,25 @@ class TestFusedSpMM:
             recoded_spmm(plan, np.ones(plan.blocked.shape[1]))
         with pytest.raises(ValueError, match="X must have shape"):
             recoded_spmm(plan, np.ones((3, 2)))
+
+    @pytest.mark.parametrize("schedule", ["serial", "pipelined", "sharded"])
+    @pytest.mark.parametrize("delta", [5, -5])
+    def test_bad_spmv_x_length_rejected_by_every_schedule(
+        self, plan, schedule, delta, tmp_path
+    ):
+        # x five elements too long or too short: every schedule raises the
+        # same ValueError at entry, before any block streams.
+        n = plan.blocked.shape[1]
+        kwargs = {}
+        source = plan
+        if schedule == "pipelined":
+            kwargs = dict(engine=make_engine(1), mode="pipelined")
+        elif schedule == "sharded":
+            source = str(tmp_path / "m.dsh")
+            save_plan(plan, source)
+            kwargs = dict(shards=2)
+        with pytest.raises(ValueError, match=rf"x must have shape \({n},\)"):
+            recoded_spmv(source, np.ones(n + delta), **kwargs)
 
 
 class TestPipelineMetrics:

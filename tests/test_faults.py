@@ -8,6 +8,8 @@ pool-leak regression, and the Hypothesis property that *any* single
 injected block fault under ``degrade`` leaves SpMV bit-exact.
 """
 
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +194,25 @@ class TestPoolCrashRecovery:
                 assert reg.value("faults.pool_rebuilds") == 1
             finally:
                 eng.close()
+
+
+def _sigterm_is_default() -> bool:
+    return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
+
+
+class TestPoolWorkerSignals:
+    def test_process_workers_die_on_sigterm_despite_parent_handler(self):
+        # A broken pool terminates its surviving workers with SIGTERM. A
+        # handler inherited from the parent (the CLI routes SIGTERM to
+        # KeyboardInterrupt) would leave a worker blocked mid-write alive
+        # and the teardown waiting on it forever.
+        previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
+        eng = RecodeEngine(workers=1, executor="process")
+        try:
+            assert eng._ensure_pool().submit(_sigterm_is_default).result(timeout=60)
+        finally:
+            signal.signal(signal.SIGTERM, previous)
+            eng.close()
 
 
 class TestPoolLeakRegression:

@@ -5,11 +5,11 @@ silently return wrong data that passes verification."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.codecs.errors import CodecError, CorruptStreamError
 from repro.codecs.huffman import HuffmanTable
-from repro.codecs.rle import rle_decode
+from repro.codecs.rle import RLECodec, rle_decode
 from repro.codecs.snappy import snappy_compress, snappy_decompress
 from repro.codecs.stats import dsh_plan
 from repro.codecs.pipeline import BlockRecord, MatrixCompression
@@ -110,11 +110,18 @@ class TestHuffmanRobustness:
 class TestRLERobustness:
     @settings(max_examples=100, deadline=None)
     @given(st.binary(max_size=100))
+    @example(b"\x80\x80\x80\x80\x0bC")  # one run of ~2.95e9: 11 GiB if allocated
     def test_random_bytes_never_crash(self, blob):
         try:
             rle_decode(blob)
         except CodecError:
             pass
+
+    def test_codec_hostile_count_prefix_rejected(self):
+        # uvarint(2**32 - 1) element count, then one run of that length.
+        hostile = b"\xff\xff\xff\xff\x0f" * 2 + b"\x02"
+        with pytest.raises(CorruptStreamError, match="element count"):
+            RLECodec().decode(hostile)
 
 
 class TestPlanTamperDetection:
