@@ -383,8 +383,10 @@ class EngineStats:
         self._totals = dict.fromkeys(_ENGINE_COUNTERS, 0.0)
         # Counters of the active registry, looked up once per registry: a
         # lookup costs more than the increment, and adds run once per block.
-        self._reg: obs.MetricsRegistry | None = None
-        self._counters: dict[str, obs.Counter] = {}
+        labels = self._labels
+        self._counters = obs.BoundInstruments(
+            lambda r, name: r.counter(f"codecs.engine.{name}", **labels)
+        )
         # Pre-create the counters so every name is present (value 0) in
         # the construction-time registry even before any work lands —
         # conformance suites compare metric-name sets across configs.
@@ -395,16 +397,9 @@ class EngineStats:
     def add(self, name: str, amount: float) -> None:
         if not amount:
             return  # skip the lock on no-op adds (all-hit decode passes)
-        reg = obs.registry()
         with self._lock:
             self._totals[name] += amount
-            if reg is not self._reg:
-                self._reg, self._counters = reg, {}
-            counter = self._counters.get(name)
-            if counter is None:
-                counter = reg.counter(f"codecs.engine.{name}", **self._labels)
-                self._counters[name] = counter
-        counter.inc(amount)
+        self._counters[name].inc(amount)
 
     def __getattr__(self, name: str):
         # The lifetime totals, read-only: counts as ints, *_seconds as floats.

@@ -107,6 +107,7 @@ class HuffmanTable:
             raise ValueError("negative frequency")
         f = f + 1  # smoothing
         lengths = _code_lengths(f)
+        lengths.flags.writeable = False  # frozen, like the codes
         return cls(lengths=lengths, codes=_canonical_codes(lengths))
 
     @classmethod
@@ -126,6 +127,7 @@ class HuffmanTable:
         arr = np.asarray(list(lengths), dtype=np.uint8)
         if arr.shape != (ALPHABET,):
             raise ValueError(f"need {ALPHABET} lengths, got {arr.shape}")
+        arr.flags.writeable = False  # frozen, like the codes
         return cls(lengths=arr, codes=_canonical_codes(arr))
 
     def serialize(self) -> bytes:

@@ -222,6 +222,13 @@ class MatrixCompression:
         return True
 
 
+#: decode_record's instruments, looked up once per active registry.
+_DECODE_COUNTERS = obs.BoundInstruments(lambda reg, name: reg.counter(name))
+_RECORD_SECONDS = obs.BoundInstruments(
+    lambda reg, _key: reg.histogram("codecs.decode.record_seconds")
+)
+
+
 def decode_record(
     record: BlockRecord,
     table: HuffmanTable | None,
@@ -279,19 +286,19 @@ def decode_record(
         if apply_delta:
             arr = delta_decode(np.frombuffer(data, dtype="<i4"))
             data = arr.astype("<i4").tobytes()
-    reg = obs.registry()
-    reg.counter("codecs.decode.records").inc()
-    reg.counter("codecs.decode.bytes_in").inc(len(record.payload))
-    reg.counter("codecs.decode.bytes_out").inc(len(data))
+    counters = _DECODE_COUNTERS
+    counters["codecs.decode.records"].inc()
+    counters["codecs.decode.bytes_in"].inc(len(record.payload))
+    counters["codecs.decode.bytes_out"].inc(len(data))
     if record.tag is not None:
-        reg.counter("codec.mix.decode_records").inc()
+        counters["codec.mix.decode_records"].inc()
         if not use_snappy:
-            reg.counter("codec.mix.snappy_skipped").inc()
+            counters["codec.mix.snappy_skipped"].inc()
     if use_huffman:
-        reg.counter("codecs.huffman.decode_records").inc()
+        counters["codecs.huffman.decode_records"].inc()
     if apply_delta:
-        reg.counter("codecs.delta.decode_records").inc()
-    reg.histogram("codecs.decode.record_seconds").observe(time.perf_counter() - start)
+        counters["codecs.delta.decode_records"].inc()
+    _RECORD_SECONDS[None].observe(time.perf_counter() - start)
     return data
 
 

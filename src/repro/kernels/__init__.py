@@ -1,16 +1,21 @@
-"""repro.kernels — vectorized codec kernels behind a backend dispatch.
+"""repro.kernels — compiled and vectorized codec kernels behind a backend dispatch.
 
 The paper's premise is decompression at memory-bandwidth rate; the
 from-scratch codec loops are the reference semantics, and this package
-holds their fast paths. Two backends exist:
+holds their fast paths. Three backends exist:
 
-* ``python`` — the reference per-symbol/per-element loops (ground truth).
-* ``numpy`` — vectorized implementations with **byte-identical** output
-  and matching :mod:`repro.codecs.errors` behaviour on corrupt input:
+* ``c`` — Huffman decode (a stride-8 DFA walk) and Snappy decompress (a
+  single-pass tag scan and copy loop) compiled with cffi on first use
+  into a per-user cache. Absent when cffi or a compiler is missing.
+* ``numpy`` — vectorized implementations of every op:
   table-driven Huffman encode (per-symbol gather + cumulative bit-offset
   packing), a stride-8 DFA Huffman decode run as an array automaton,
   a two-phase Snappy decompressor (tag scan, then slice-op
   materialization), and batch varint/zigzag codecs.
+* ``python`` — the reference per-symbol/per-element loops (ground truth).
+
+The fast backends give **byte-identical** output and the reference's
+:mod:`repro.codecs.errors` type and message on corrupt input.
 
 Usage::
 
@@ -21,10 +26,12 @@ Usage::
         ...
 
 Selection: :func:`set_backend` > ``REPRO_KERNEL_BACKEND`` env var >
-autodetect (``numpy`` when available). Ops a backend cannot serve fall
-back to the reference implementation and tick ``kernels.fallback``; every
-dispatch ticks ``kernels.dispatch`` labelled by op and backend. See
-docs/PERFORMANCE.md.
+autodetect (``c`` when it builds, else ``numpy``). An op the selected
+backend lacks is served by the next one in ``c``, ``numpy``, ``python``
+order; landing on the reference from a faster selection, or a fast kernel
+raising :class:`KernelUnavailable`, ticks ``kernels.fallback``. Every
+dispatch ticks ``kernels.dispatch`` labelled by op and the backend that
+served it. See docs/PERFORMANCE.md.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ def _ensure_backends() -> None:
     global _backends_loaded
     if not _backends_loaded:
         _backends_loaded = True
-        from repro.kernels import np_kernels, ref  # noqa: F401  (registration side effect)
+        from repro.kernels import c_kernels, np_kernels, ref  # noqa: F401  (registration)
 
 
 def dispatch(op: str, *args, **kwargs):

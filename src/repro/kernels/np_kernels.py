@@ -32,6 +32,7 @@ from functools import lru_cache
 import numpy as np
 
 from repro.codecs.errors import CorruptStreamError
+from repro.kernels import ref
 from repro.kernels.registry import REGISTRY, KernelUnavailable
 
 _register = REGISTRY.register
@@ -94,10 +95,11 @@ def huffman_encode(lengths: np.ndarray, codes: np.ndarray, data: bytes) -> tuple
 class _DFATables:
     """Compiled stride-8 automaton for one table fingerprint."""
 
-    __slots__ = ("next_rows", "emit", "emit_n", "dead", "has_dead")
+    __slots__ = ("next_rows", "next_state", "emit", "emit_n", "dead", "has_dead")
 
-    def __init__(self, next_rows, emit, emit_n, dead, has_dead):
+    def __init__(self, next_rows, next_state, emit, emit_n, dead, has_dead):
         self.next_rows = next_rows  # list[list[int]]: fastest scalar walk
+        self.next_state = next_state  # int64[nstates, 256]: the same, as an array
         self.emit = emit            # uint8[nstates, 256, 8]
         self.emit_n = emit_n        # int64[nstates, 256]
         self.dead = dead            # bool[nstates, 256]
@@ -171,6 +173,7 @@ def _compiled_dfa(lengths_blob: bytes, codes_blob: bytes) -> _DFATables:
     nxt_state = np.where(dead, 0, cur).astype(np.int64)
     return _DFATables(
         next_rows=[row.tolist() for row in nxt_state],
+        next_state=nxt_state,
         emit=emit,
         emit_n=emit_n,
         dead=dead,
@@ -191,7 +194,7 @@ def huffman_decode(
     dfa = _compiled_dfa(lengths.tobytes(), codes.tobytes())
     nbytes = len(payload)
     if nbytes == 0:
-        raise CorruptStreamError("bitstream exhausted before out_len symbols")
+        return ref.huffman_decode(lengths, codes, payload, out_len)
 
     # Pass 1 — scalar state walk (one list index per payload byte).
     states_list = [0] * nbytes
@@ -207,7 +210,6 @@ def huffman_decode(
 
     # Pass 2 — vectorized emission gather.
     counts = dfa.emit_n[states, chunks]
-    exhausted_msg = "bitstream exhausted before out_len symbols"
     if dfa.has_dead:
         dead_hits = np.nonzero(dfa.dead[states, chunks])[0]
         if dead_hits.size:
@@ -215,10 +217,11 @@ def huffman_decode(
             # count; everything after decodes garbage from the root.
             cutoff = int(dead_hits[0]) + 1
             states, chunks, counts = states[:cutoff], chunks[:cutoff], counts[:cutoff]
-            exhausted_msg = "invalid code in bitstream"
     csum = np.cumsum(counts)
     if int(csum[-1]) < out_len:
-        raise CorruptStreamError(exhausted_msg)
+        # Too few symbols: the reference raises the canonical error (an
+        # invalid code or an exhausted stream, depending on where it ends).
+        return ref.huffman_decode(lengths, codes, payload, out_len)
     last = int(np.searchsorted(csum, out_len))  # first chunk reaching out_len
     states, chunks, counts = states[: last + 1], chunks[: last + 1], counts[: last + 1]
     sym_rows = dfa.emit[states, chunks]  # (nchunks, 8)

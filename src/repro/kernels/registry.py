@@ -1,12 +1,17 @@
 """Backend-dispatch registry for the hot codec kernels.
 
 The codec stack's inner loops (Huffman bit packing/unpacking, Snappy
-element materialization, batch varints) exist in two implementations:
+element materialization, batch varints) exist in up to three
+implementations:
 
+* ``c`` — compiled decode kernels (Huffman, Snappy), built with cffi on
+  first use; absent when cffi or a compiler is missing.
+* ``numpy`` — vectorized fast paths for every op.
 * ``python`` — the from-scratch reference loops. Always available, always
   correct; the byte-level ground truth everything else is checked against.
-* ``numpy`` — vectorized fast paths that produce **byte-identical** output
-  (and raise the same :mod:`repro.codecs.errors` types on corrupt input).
+
+The fast backends produce **byte-identical** output and raise the same
+:mod:`repro.codecs.errors` types and messages on corrupt input.
 
 A *kernel op* is a name like ``"huffman_decode"``; each backend registers
 one callable per op. :func:`dispatch` resolves the active backend per
@@ -16,12 +21,13 @@ inherit the parent's selection explicitly (see
 :meth:`repro.codecs.engine.RecodeEngine`).
 
 Selection order: :func:`set_backend` (CLI / code) > the
-``REPRO_KERNEL_BACKEND`` environment variable > autodetect (``numpy``
-when importable, else ``python``). An op missing from the selected
-backend — or raising :class:`KernelUnavailable` at call time — falls back
-to the ``python`` reference and ticks the ``kernels.fallback`` counter;
-every successful dispatch ticks ``kernels.dispatch`` labelled
-``op``/``backend``.
+``REPRO_KERNEL_BACKEND`` environment variable > autodetect (the first
+available of :data:`KNOWN_BACKENDS`). An op the selected backend does not
+implement is served by the next backend in that order that does. Landing
+on the ``python`` reference from a faster selection — or a fast kernel
+raising :class:`KernelUnavailable` at call time — ticks the
+``kernels.fallback`` counter; every dispatch ticks ``kernels.dispatch``
+labelled ``op`` and the ``backend`` that served it.
 """
 
 from __future__ import annotations
@@ -39,14 +45,22 @@ KERNEL_BACKEND_ENV = "REPRO_KERNEL_BACKEND"
 #: The reference backend every op must provide.
 REFERENCE_BACKEND = "python"
 
-#: Backends in autodetect preference order.
-KNOWN_BACKENDS = ("numpy", "python")
+#: Backends in autodetect (and per-op serving) preference order.
+KNOWN_BACKENDS = ("c", "numpy", "python")
 
 
 class KernelUnavailable(RuntimeError):
     """A backend cannot service this op/call; dispatch retries on the
     reference backend. Raise it early — before any output is produced —
     so the fallback re-runs the op from scratch."""
+
+
+_DISPATCH = obs.BoundInstruments(
+    lambda reg, key: reg.counter("kernels.dispatch", op=key[0], backend=key[1])
+)
+_FALLBACK = obs.BoundInstruments(
+    lambda reg, key: reg.counter("kernels.fallback", op=key[0], backend=key[1])
+)
 
 
 class KernelRegistry:
@@ -58,6 +72,8 @@ class KernelRegistry:
         self._lock = threading.Lock()
         # None = not yet resolved (env/autodetect decides on first use).
         self._selected: str | None = None
+        # Autodetect's answer; fixed once ``c`` has been probed.
+        self._auto: str | None = None
 
     # -- registration --------------------------------------------------------
 
@@ -78,24 +94,35 @@ class KernelRegistry:
         return tuple(sorted(self._ops))
 
     def backends_for(self, op: str) -> tuple[str, ...]:
-        return tuple(b for b in KNOWN_BACKENDS if (op, b) in self._impls)
+        """Available backends with their own implementation of ``op``."""
+        return tuple(
+            b for b in KNOWN_BACKENDS if (op, b) in self._impls and self.is_available(b)
+        )
 
     # -- backend selection ---------------------------------------------------
 
+    @staticmethod
+    def is_available(name: str) -> bool:
+        """Whether backend ``name`` is usable in this process.
+
+        Only ``c`` can be missing; asking about it builds or loads the
+        compiled kernels once per process, asking about another backend
+        never does.
+        """
+        if name == "c":
+            from repro.kernels import c_kernels
+
+            return c_kernels.available()
+        return name in KNOWN_BACKENDS
+
     def available_backends(self) -> tuple[str, ...]:
-        """Backends usable in this process (``numpy`` needs the import)."""
-        out = []
-        for name in KNOWN_BACKENDS:
-            if name == "numpy":
-                try:
-                    import numpy  # noqa: F401
-                except ImportError:  # pragma: no cover - numpy is a hard dep
-                    continue
-            out.append(name)
-        return tuple(out)
+        """Backends usable in this process, in preference order."""
+        return tuple(b for b in KNOWN_BACKENDS if self.is_available(b))
 
     def autodetect(self) -> str:
-        return self.available_backends()[0]
+        if self._auto is None:
+            self._auto = self.available_backends()[0]
+        return self._auto
 
     def resolve_backend(self) -> str:
         """The backend dispatch will use right now (resolving env/autodetect)."""
@@ -104,7 +131,7 @@ class KernelRegistry:
         env = os.environ.get(KERNEL_BACKEND_ENV, "").strip().lower()
         if env in ("", "auto"):
             return self.autodetect()
-        if env not in KNOWN_BACKENDS or env not in self.available_backends():
+        if env not in KNOWN_BACKENDS or not self.is_available(env):
             # A bad env var must not take the process down: fall back to
             # autodetect and leave a visible trail in the metrics.
             obs.registry().counter("kernels.bad_backend_env", value=env).inc()
@@ -122,7 +149,7 @@ class KernelRegistry:
             return
         if name not in KNOWN_BACKENDS:
             raise ValueError(f"unknown kernel backend {name!r}; know {KNOWN_BACKENDS}")
-        if name not in self.available_backends():
+        if not self.is_available(name):
             raise ValueError(f"kernel backend {name!r} is not available in this process")
         self._selected = name
 
@@ -138,27 +165,30 @@ class KernelRegistry:
 
     # -- dispatch ------------------------------------------------------------
 
+    def _route(self, op: str, backend: str) -> tuple[Callable, str]:
+        """The implementation serving ``op`` under ``backend``: its own, or
+        the next backend's in :data:`KNOWN_BACKENDS` order."""
+        for served in KNOWN_BACKENDS[KNOWN_BACKENDS.index(backend):]:
+            fn = self._impls.get((op, served))
+            if fn is not None:
+                return fn, served
+        raise KeyError(f"kernel op {op!r} has no implementation")
+
     def dispatch(self, op: str, *args, **kwargs):
         """Run ``op`` on the active backend, reference-falling-back."""
         backend = self.resolve_backend()
-        fn = self._impls.get((op, backend))
-        reg = obs.registry()
-        if fn is None:
-            if backend != REFERENCE_BACKEND:
-                reg.counter("kernels.fallback", op=op, backend=backend).inc()
-            backend = REFERENCE_BACKEND
-            fn = self._impls.get((op, backend))
-            if fn is None:
-                raise KeyError(f"kernel op {op!r} has no implementation")
+        fn, served = self._route(op, backend)
+        if served == REFERENCE_BACKEND and backend != REFERENCE_BACKEND:
+            _FALLBACK[op, backend].inc()
         try:
             result = fn(*args, **kwargs)
         except KernelUnavailable:
-            if backend == REFERENCE_BACKEND:
+            if served == REFERENCE_BACKEND:
                 raise
-            reg.counter("kernels.fallback", op=op, backend=backend).inc()
-            result = self._impls[(op, REFERENCE_BACKEND)](*args, **kwargs)
-            backend = REFERENCE_BACKEND
-        reg.counter("kernels.dispatch", op=op, backend=backend).inc()
+            _FALLBACK[op, served].inc()
+            served = REFERENCE_BACKEND
+            result = self._impls[(op, served)](*args, **kwargs)
+        _DISPATCH[op, served].inc()
         return result
 
 

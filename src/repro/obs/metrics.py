@@ -430,6 +430,36 @@ def scoped_registry(reg: MetricsRegistry | None = None) -> Iterator[MetricsRegis
             _current_registry = previous
 
 
+class BoundInstruments:
+    """Instruments of the current registry, looked up once per registry.
+
+    A registry lookup (label sorting, a lock, a dict probe) costs more
+    than the update it serves. A hot path that records per record or per
+    kernel call keeps one of these: ``bound[key]`` is the instrument
+    ``factory(registry, key)`` made for the *current* registry, created
+    on first use. A metric therefore still appears only once something
+    records into it, and a :func:`scoped_registry` gets its own.
+    """
+
+    __slots__ = ("_factory", "_bound")
+
+    def __init__(self, factory: Callable[[MetricsRegistry, object], object]):
+        self._factory = factory
+        # One tuple, swapped whole, so a thread never pairs one registry
+        # with another registry's instruments.
+        self._bound: tuple[MetricsRegistry | None, dict] = (None, {})
+
+    def __getitem__(self, key):
+        reg = _current_registry
+        bound = self._bound
+        if bound[0] is not reg:
+            bound = self._bound = (reg, {})
+        instrument = bound[1].get(key)
+        if instrument is None:
+            instrument = bound[1][key] = self._factory(reg, key)
+        return instrument
+
+
 def counter(name: str, **labels) -> Counter:
     """Get-or-create a counter on the current registry."""
     return _current_registry.counter(name, **labels)

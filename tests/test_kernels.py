@@ -1,13 +1,15 @@
 """Differential tests for the kernel backend-dispatch layer.
 
-The ``numpy`` backend's contract is *byte-identical output and identical
-:mod:`repro.codecs.errors` behaviour* vs the ``python`` reference loops.
-These tests enforce it the blunt way: run every op under both backends on
+The fast backends' contract (``numpy``, and ``c`` where it builds) is
+*byte-identical output and identical :mod:`repro.codecs.errors`
+behaviour* vs the ``python`` reference loops. These tests enforce it the
+blunt way: run every op under every available backend on
 Hypothesis-generated inputs — valid, corrupt, and degenerate — and demand
 the outcomes (bytes or exception type + message) match exactly. Backend
-selection (set_backend / env var / autodetect), fallback on
-:class:`KernelUnavailable`, the observability counters, and pool-worker
-backend inheritance are covered alongside.
+selection (set_backend / env var / autodetect), serving an op from the
+next backend, fallback on :class:`KernelUnavailable`, the observability
+counters, a failed ``c`` build, and pool-worker backend inheritance are
+covered alongside.
 """
 
 import numpy as np
@@ -26,7 +28,11 @@ from repro.codecs.varint import (
     zigzag_encode,
 )
 
-BACKENDS = ("python", "numpy")
+#: Every backend usable here, the reference first.
+BACKENDS = tuple(reversed(kernels.available_backends()))
+
+#: Ops the ``c`` backend compiles; the rest are served by ``numpy``.
+C_OPS = ("huffman_decode", "snappy_decompress")
 
 #: Ops the numpy backend must actually implement (no silent reference-only).
 VECTORIZED_OPS = (
@@ -38,6 +44,9 @@ VECTORIZED_OPS = (
     "zigzag_encode",
     "zigzag_decode",
 )
+
+
+needs_c = pytest.mark.skipif("c" not in BACKENDS, reason="c backend did not build here")
 
 
 def _outcome(fn, *args, **kwargs):
@@ -58,9 +67,10 @@ def _under_backends(fn, *args, **kwargs):
 
 
 def _assert_parity(fn, *args, **kwargs):
-    """Assert both backends produce the same outcome; return it."""
+    """Assert every backend produces the reference's outcome; return it."""
     res = _under_backends(fn, *args, **kwargs)
-    assert res["python"] == res["numpy"], res
+    for backend in BACKENDS:
+        assert res[backend] == res["python"], (backend, res)
     return res["python"]
 
 
@@ -79,9 +89,11 @@ def _assert_parity_ok(fn, *args, **kwargs):
 class TestBackendSelection:
     def test_every_op_has_reference_and_numpy_impls(self):
         ops = kernels.ops()
+        has_c = "c" in kernels.available_backends()
         for op in VECTORIZED_OPS:
             assert op in ops
-            assert kernels.backends_for(op) == ("numpy", "python"), op
+            expected = ("c",) if has_c and op in C_OPS else ()
+            assert kernels.backends_for(op) == expected + ("numpy", "python"), op
 
     def test_set_backend_rejects_unknown_names(self):
         with pytest.raises(ValueError, match="unknown kernel backend"):
@@ -120,6 +132,77 @@ class TestBackendSelection:
             zigzag_encode(np.arange(4, dtype=np.int32))
             assert reg.value("kernels.dispatch", op="zigzag_encode", backend="numpy") == 1
             assert reg.value("kernels.fallback", op="zigzag_encode", backend="numpy") == 0
+
+    @needs_c
+    def test_c_serves_missing_ops_from_numpy_without_fallback(self):
+        with obs.scoped_registry() as reg, kernels.use_backend("c"):
+            zigzag_encode(np.arange(4, dtype=np.int32))
+            snappy_decompress(snappy_compress(b"served by c"))
+            assert reg.value("kernels.dispatch", op="zigzag_encode", backend="numpy") == 1
+            assert reg.value("kernels.dispatch", op="snappy_decompress", backend="c") == 1
+            assert reg.value("kernels.fallback", op="zigzag_encode", backend="c") == 0
+            assert reg.value("kernels.fallback", op="zigzag_encode", backend="numpy") == 0
+
+
+class TestFailedCBuild:
+    """Without cffi or a compiler, ``c`` is simply absent: autodetect
+    picks ``numpy``, pinning ``c`` is refused, and results are unchanged."""
+
+    @pytest.fixture
+    def no_compiler(self, monkeypatch, tmp_path):
+        from repro.kernels import c_kernels
+
+        def failing_build(target):
+            c_kernels.builds_attempted += 1
+            raise RuntimeError("c kernel build failed: no compiler")
+
+        monkeypatch.setattr(c_kernels, "cache_dir", lambda: tmp_path / "c-kernels")
+        monkeypatch.setattr(c_kernels, "_build", failing_build)
+        monkeypatch.setattr(c_kernels, "builds_attempted", 0, raising=False)
+        for name, value in (("_probed", False), ("_ffi", None), ("_lib", None),
+                            ("failure", None)):
+            monkeypatch.setattr(c_kernels, name, value)
+        monkeypatch.setattr(kernels.REGISTRY, "_auto", None)
+        monkeypatch.setattr(kernels.REGISTRY, "_selected", None)
+        monkeypatch.delenv(kernels.KERNEL_BACKEND_ENV, raising=False)
+        return c_kernels
+
+    def test_autodetect_picks_numpy(self, no_compiler):
+        assert kernels.REGISTRY.autodetect() == "numpy"
+        assert kernels.available_backends() == ("numpy", "python")
+        assert kernels.backends_for("huffman_decode") == ("numpy", "python")
+        assert "no compiler" in no_compiler.failure
+        assert no_compiler.builds_attempted == 1  # probed once per process
+
+    def test_pinned_pool_worker_never_probes(self, no_compiler):
+        from repro.codecs.engine import _run_isolated
+
+        result, _snapshot, _events = _run_isolated(
+            (lambda _task: kernels.backend(), None, False, "numpy")
+        )
+        assert result == "numpy"
+        assert not no_compiler._probed
+
+    def test_pinning_c_raises(self, no_compiler):
+        with pytest.raises(ValueError, match="not available"):
+            kernels.set_backend("c")
+
+    def test_recoded_spmv_identical(self, no_compiler):
+        import hashlib
+
+        from repro.codecs.pipeline import compress_matrix
+        from repro.collection import generators
+        from repro.core import recoded_spmv
+        from repro.sparse.spmv import spmv_blocked
+
+        plan = compress_matrix(generators.banded(n=800, bandwidth=4, seed=3), block_bytes=4096)
+        x = np.random.default_rng(3).standard_normal(plan.blocked.shape[1])
+        with obs.scoped_registry() as reg:
+            y, _stats = recoded_spmv(plan, x)
+        assert kernels.backend() == "numpy"
+        digest = hashlib.sha256(y.tobytes()).hexdigest()
+        assert digest == hashlib.sha256(spmv_blocked(plan.blocked, x).tobytes()).hexdigest()
+        assert reg.value("kernels.dispatch", op="huffman_decode", backend="numpy") > 0
 
 
 # ---------------------------------------------------------------------------
@@ -207,10 +290,110 @@ class TestHuffmanParity:
         assert a.codes is b.codes  # one frozen array per distinct table
         assert not a.codes.flags.writeable
 
+    @settings(max_examples=40, deadline=None)
+    @given(data_blobs, st.integers(0, 8))
+    def test_out_len_at_and_past_last_emission(self, data, extra):
+        """``out_len`` ending exactly at the last symbol, or reaching into
+        the padding bits past it: the padding may decode to symbols, and
+        every backend must agree on how many."""
+        table = HuffmanTable.from_samples([data])
+        with kernels.use_backend("python"):
+            payload, _ = table.encode_bits(data)
+        outcome = _assert_parity(table.decode_bits, payload, len(data) + extra)
+        if extra == 0:
+            assert outcome == ("ok", data)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data_blobs, st.integers(0, 2**32))
+    def test_out_len_mid_stream(self, data, seed):
+        table = HuffmanTable.from_samples([data])
+        with kernels.use_backend("python"):
+            payload, _ = table.encode_bits(data)
+        out_len = int(np.random.default_rng(seed).integers(0, len(data) + 1))
+        assert _assert_parity_ok(table.decode_bits, payload, out_len) == data[:out_len]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.lists(st.integers(1, 8), min_size=1, max_size=40),
+        st.binary(min_size=1, max_size=64),
+        st.integers(1, 200),
+    )
+    def test_dead_dfa_path_parity(self, code_lengths, payload, out_len):
+        """An incomplete (Kraft sum < 1) code leaves bit patterns no code
+        starts with; the DFA marks them dead. Every backend must stop at
+        the same symbol with the reference's error."""
+        from repro.kernels import np_kernels
+
+        code_lengths = sorted(code_lengths)
+        while sum(2.0**-n for n in code_lengths) >= 1:
+            code_lengths.pop()
+        table = HuffmanTable.from_lengths(code_lengths + [0] * (256 - len(code_lengths)))
+        dfa = np_kernels._compiled_dfa(table.lengths.tobytes(), table.codes.tobytes())
+        assert dfa.has_dead
+        outcome = _assert_parity(table.decode_bits, payload, out_len)
+        if outcome[0] == "err":
+            assert outcome[1] == "CorruptStreamError", outcome
+
+    @needs_c
+    def test_non_kraft_table_falls_back_from_c(self):
+        table = HuffmanTable.from_lengths([1, 1, 1] + [0] * 253)
+        payload = bytes([0b01010101, 0b00110011])
+        with kernels.use_backend("python"):
+            ref = _outcome(table.decode_bits, payload, 9)
+        with obs.scoped_registry() as reg, kernels.use_backend("c"):
+            assert _outcome(table.decode_bits, payload, 9) == ref
+            assert reg.value("kernels.fallback", op="huffman_decode", backend="c") == 1
+            assert reg.value("kernels.dispatch", op="huffman_decode", backend="python") == 1
+
 
 # ---------------------------------------------------------------------------
 # Snappy
 # ---------------------------------------------------------------------------
+
+
+def _snappy_stream(elements) -> tuple[bytes, bytes]:
+    """Assemble a Snappy stream element by element; returns the stream
+    and the bytes it decodes to. Copies before any output become literals."""
+    body, out = bytearray(), bytearray()
+    for kind, length, offset_seed, overlap, literal in elements:
+        if kind == "literal" or not out:
+            extra = length % 5  # 0 = length in the tag; 1-4 = tags 60-63
+            if extra == 0 and len(literal) > 60:
+                extra = 1
+            if extra:
+                body.append((59 + extra) << 2)
+                body += (len(literal) - 1).to_bytes(extra, "little")
+            else:
+                body.append((len(literal) - 1) << 2)
+            body += literal
+            out += literal
+            continue
+        max_offset = {"copy1": 2047, "copy2": 65535, "copy4": 1 << 32}[kind]
+        if kind == "copy1":
+            length = 4 + length % 8
+        span = min(len(out), length - 1) if overlap and length > 1 else len(out)
+        offset = 1 + offset_seed % min(span, max_offset)
+        if kind == "copy1":
+            body += bytes([1 | (length - 4) << 2 | (offset >> 8) << 5, offset & 0xFF])
+        else:
+            tag = (2 if kind == "copy2" else 3) | (length - 1) << 2
+            body += bytes([tag]) + offset.to_bytes(2 if kind == "copy2" else 4, "little")
+        for _ in range(length):
+            out.append(out[-offset])
+    return write_varint(len(out)) + bytes(body), bytes(out)
+
+
+snappy_elements = st.lists(
+    st.tuples(
+        st.sampled_from(["literal", "copy1", "copy2", "copy4"]),
+        st.integers(1, 64),
+        st.integers(0, 2**32),
+        st.booleans(),
+        st.binary(min_size=1, max_size=80),
+    ),
+    min_size=1,
+    max_size=8,
+)
 
 
 class TestSnappyParity:
@@ -251,6 +434,22 @@ class TestSnappyParity:
             assert outcome == ("ok", data)
         else:
             assert outcome[:2] == ("err", "CorruptStreamError"), outcome
+
+    @settings(max_examples=60, deadline=None)
+    @given(snappy_elements)
+    def test_hand_built_streams_byte_identical(self, elements):
+        """Every element form: overlapping copies (offset < length), long
+        literals (tags 60-63), copy-1/2/4."""
+        stream, expected = _snappy_stream(elements)
+        assert _assert_parity_ok(snappy_decompress, stream) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(snappy_elements)
+    def test_truncation_at_every_offset(self, elements):
+        stream, _expected = _snappy_stream(elements)
+        for cut in range(len(stream)):
+            outcome = _assert_parity(snappy_decompress, stream[:cut])
+            assert outcome[:2] == ("err", "CorruptStreamError"), (cut, outcome)
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +513,7 @@ class TestVarintParity:
 
     def test_encode_batch_rejects_bad_values_identically(self):
         for bad in ([3, -1, 5], [1, 1 << 32]):
-            res = _under_backends(write_varints, bad)
-            assert res["python"] == res["numpy"], res
-            assert res["python"][:2] == ("err", "ValueError"), res
+            assert _assert_parity(write_varints, bad)[:2] == ("err", "ValueError")
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.integers(-(2**31), 2**31 - 1), max_size=64))
@@ -329,7 +526,8 @@ class TestVarintParity:
                 assert enc.dtype == np.uint32
                 np.testing.assert_array_equal(zigzag_decode(enc), arr)
                 encoded[backend] = enc
-        np.testing.assert_array_equal(encoded["python"], encoded["numpy"])
+        for backend in BACKENDS:
+            np.testing.assert_array_equal(encoded[backend], encoded["python"])
 
 
 # ---------------------------------------------------------------------------

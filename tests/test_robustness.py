@@ -3,10 +3,13 @@ cleanly with a typed :class:`~repro.codecs.errors.CodecError` (which the
 UDP simulator's ``UDPFault`` also derives from), never hang, crash, or
 silently return wrong data that passes verification."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from repro import kernels
 from repro.codecs.errors import CodecError, CorruptStreamError
 from repro.codecs.huffman import HuffmanTable
 from repro.codecs.rle import RLECodec, rle_decode
@@ -105,6 +108,37 @@ class TestHuffmanRobustness:
         payload, _ = table.encode_bits(b"xyz")
         with pytest.raises(CorruptStreamError):
             table.decode_bits(payload, 10_000)
+
+
+@pytest.mark.parametrize("backend", kernels.available_backends())
+class TestBoundedKernelAllocation:
+    """No backend allocates from an untrusted length alone: a hostile
+    Snappy preamble or Huffman ``out_len`` raises with a small peak."""
+
+    PEAK_LIMIT = 1 << 20
+
+    @staticmethod
+    def _peak(fn, *args) -> int:
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError):
+                fn(*args)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_snappy_preamble_past_max_expansion(self, backend):
+        with kernels.use_backend(backend):
+            peak = self._peak(snappy_decompress, b"\xff\xff\xff\xff\x0f\x00")
+        assert peak < self.PEAK_LIMIT
+
+    def test_huffman_out_len_past_payload(self, backend):
+        table = HuffmanTable.from_samples([b"bounded huffman"])
+        payload, _ = table.encode_bits(b"bounded huffman")
+        with kernels.use_backend(backend):
+            table.decode_bits(payload, 15)  # compile the table outside the trace
+            peak = self._peak(table.decode_bits, payload, 2**31)
+        assert peak < self.PEAK_LIMIT
 
 
 class TestRLERobustness:
