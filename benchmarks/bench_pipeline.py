@@ -36,13 +36,11 @@ SEED = 17
 
 
 def _engine() -> RecodeEngine:
-    # Process pool: the codecs are GIL-bound pure Python, so only
+    # The engine's process pool: per-block Python holds the GIL, so only
     # processes give the decode side real parallelism. Small chunks keep
     # several tasks in flight at DEPTH=4. No cache — every run decodes
     # cold, which is what the gate compares.
-    return RecodeEngine(
-        workers=WORKERS, executor="process", chunk_blocks=4, retry_base_s=0.0
-    )
+    return RecodeEngine(workers=WORKERS, chunk_blocks=4, retry_base_s=0.0)
 
 
 def _best_of(n, fn):

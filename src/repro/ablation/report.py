@@ -204,7 +204,6 @@ def build_artifact(report: AblationReport) -> dict:
             "warm_iters": s.warm_iters,
             "nrhs": s.nrhs,
             "block_bytes": s.block_bytes,
-            "executor_kind": s.executor_kind,
             "profile": s.profile,
             "matrices": [case.name for case in s.cases],
         },

@@ -101,10 +101,6 @@ class RunnerSettings:
     nrhs: int = 4
     seed: int = 2019
     block_bytes: int = 8192
-    #: Engine pool kind for worker configs: ``process`` (honest decode
-    #: parallelism; the CLI/bench default) or ``thread`` (cheap spin-up
-    #: for tier-1 tests — scheduling paths identical, fork cost zero).
-    executor_kind: str = "process"
     #: A component is *harmful* when its removal improves the headline
     #: geomean by more than this fraction (the CI gate).
     harmful_threshold: float = 0.05
@@ -145,7 +141,7 @@ class RunnerSettings:
 
     @classmethod
     def tiny(cls) -> "RunnerSettings":
-        """Unit-test scale: small matrices, thread pools, one repeat."""
+        """Unit-test scale: small matrices, one repeat."""
         return cls(
             cases=(
                 MatrixCase(
@@ -161,7 +157,6 @@ class RunnerSettings:
             warm_iters=1,
             nrhs=2,
             block_bytes=2048,
-            executor_kind="thread",
             profile="tiny",
         )
 
@@ -273,7 +268,6 @@ class AblationRunner:
     def _build_engine(self, config: AblationConfig) -> RecodeEngine:
         return RecodeEngine(
             workers=config.workers,
-            executor=self.settings.executor_kind,
             chunk_blocks=4,
             cache=DecodedBlockCache() if config.cache else None,
             retry_base_s=0.0,

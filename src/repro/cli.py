@@ -406,7 +406,6 @@ def cmd_serve(args) -> int:
         host=args.host,
         port=args.port,
         workers=args.workers,
-        executor=args.executor,
         mode="pipelined" if args.pipeline else "serial",
         depth=args.depth,
         cache_bytes=args.cache_mb * mb,
@@ -624,7 +623,6 @@ def cmd_solve(args) -> int:
         source,
         matrix_id=f"solve-{args.algorithm}",
         workers=args.workers,
-        executor="thread",
         mode=args.mode,
         depth=args.depth,
         shards=args.shards,
@@ -887,10 +885,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=7077,
                    help="TCP port (0 = ephemeral; default %(default)s)")
     p.add_argument("--workers", type=int, default=0,
-                   help="recode-engine pool width (0 = serial decode)")
-    p.add_argument("--executor", default="thread", choices=["thread", "process"],
-                   help="engine pool kind (default thread: no fork cost "
-                        "per request)")
+                   help="recode-engine process-pool width, forked at boot "
+                        "(0 = serial decode)")
     p.add_argument("--pipeline", action="store_true",
                    help="pipelined executor per request (needs --workers >= 1)")
     p.add_argument("--depth", type=int, default=4, metavar="D")

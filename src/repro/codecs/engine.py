@@ -6,10 +6,12 @@ re-streaming the *same* compressed blocks every iteration. This module is
 the software analogue of that structure:
 
 * :class:`RecodeEngine` fans per-block encode/decode work across a
-  ``concurrent.futures`` pool — a process pool by default (the from-scratch
-  Snappy/Huffman codecs are pure Python and therefore GIL-bound), with
-  blocks chunked so pickling is amortized. ``workers=0`` is the serial
-  fallback and runs the exact same code in-process.
+  process pool, with blocks chunked so pickling is amortized. It is a
+  process pool because the per-block Python around the codec kernels
+  (record framing, CRC, telemetry, block assembly) holds the GIL and is
+  most of a block's cost, so a thread pool measured slower than processes
+  on every kernel backend. ``workers=0`` is the serial fallback and runs
+  the exact same code in-process.
 * :class:`DecodedBlockCache` is a bounded LRU over decoded
   :class:`~repro.sparse.blocked.CSRBlock` payloads keyed by
   ``(matrix_id, block_id, plan_hash)``, so iterative workloads (PageRank,
@@ -38,7 +40,6 @@ from concurrent.futures import (
     CancelledError,
     Future,
     ProcessPoolExecutor,
-    ThreadPoolExecutor,
     wait,
 )
 from contextlib import contextmanager
@@ -306,8 +307,8 @@ def _run_isolated(args: tuple) -> tuple:
 
 def _submit(pool, fn, task) -> Future:
     """Submit one task; without a pool (``workers=0``) it runs inline, so
-    the serial fallback drives the same loop. Process-pool tasks record
-    into per-worker registries (and tracers) that :func:`_collect` merges
+    the serial fallback drives the same loop. Pool tasks record into
+    per-worker registries (and tracers) that :func:`_collect` merges
     back, so parallel runs report the same counter totals as serial."""
     if pool is None:
         fut: Future = Future()
@@ -316,17 +317,15 @@ def _submit(pool, fn, task) -> Future:
         except Exception as exc:
             fut.set_exception(exc)
         return fut
-    if isinstance(pool, ProcessPoolExecutor):
-        return pool.submit(
-            _run_isolated, (fn, task, obs.tracing_enabled(), kernels.backend())
-        )
-    return pool.submit(fn, task)
+    return pool.submit(
+        _run_isolated, (fn, task, obs.tracing_enabled(), kernels.backend())
+    )
 
 
 def _collect(fut: Future, pool):
     """A submitted task's result (raising its exception)."""
     res = fut.result()
-    if not isinstance(pool, ProcessPoolExecutor):
+    if pool is None:
         return res
     result, snapshot, events = res
     obs.registry().merge_snapshot(snapshot)
@@ -437,11 +436,9 @@ class RecodeEngine:
     """Block-parallel encode/decode with an optional decoded-block cache.
 
     Attributes:
-        workers: pool width. ``0`` = serial fallback (no pool, no pickling;
+        workers: process-pool width (see the module docstring for why
+            processes). ``0`` = serial fallback (no pool, no pickling;
             byte-identical results).
-        executor: ``"process"`` (default — the codecs are GIL-bound pure
-            Python) or ``"thread"`` (useful when a C-extension codec is
-            swapped in, or to avoid fork cost on tiny plans).
         chunk_blocks: blocks per pool task.
         cache: a :class:`DecodedBlockCache`, or ``None`` to decode cold
             every time.
@@ -454,7 +451,6 @@ class RecodeEngine:
     """
 
     workers: int = 0
-    executor: str = "process"
     chunk_blocks: int = DEFAULT_CHUNK_BLOCKS
     cache: DecodedBlockCache | None = None
     max_retries: int = 2
@@ -464,8 +460,6 @@ class RecodeEngine:
     def __post_init__(self) -> None:
         if self.workers < 0:
             raise ValueError(f"workers must be >= 0, got {self.workers}")
-        if self.executor not in ("process", "thread"):
-            raise ValueError(f"executor must be 'process' or 'thread', got {self.executor!r}")
         if self.chunk_blocks < 1:
             raise ValueError(f"chunk_blocks must be >= 1, got {self.chunk_blocks}")
         if self.max_retries < 0:
@@ -484,19 +478,16 @@ class RecodeEngine:
     # -- pool plumbing -------------------------------------------------------
 
     def _ensure_pool(self):
-        """Create (once) and reuse the executor; spin-up cost is timed into
-        ``pool_startup_seconds``, not the encode/decode timers."""
+        """Create (once) and reuse the process pool; spin-up cost is timed
+        into ``pool_startup_seconds``, not the encode/decode timers."""
         if self._pool is None:
             start = time.perf_counter()
-            if self.executor == "process":
-                pool = ProcessPoolExecutor(
-                    max_workers=self.workers, initializer=_process_worker_init
-                )
-                # Force worker spawn now so the map timers below measure
-                # codec work, not fork/exec.
-                list(pool.map(_pool_warmup, range(self.workers)))
-            else:
-                pool = ThreadPoolExecutor(max_workers=self.workers)
+            pool = ProcessPoolExecutor(
+                max_workers=self.workers, initializer=_process_worker_init
+            )
+            # Force worker spawn now so the map timers below measure
+            # codec work, not fork/exec.
+            list(pool.map(_pool_warmup, range(self.workers)))
             self._pool = pool
             weakref.finalize(self, _shutdown_pool, pool)
             self.stats.add("pool_startup_seconds", time.perf_counter() - start)
@@ -511,7 +502,7 @@ class RecodeEngine:
     def _handle_pool_crash(self, fault_plan, missing: list[int]) -> None:
         """A worker died mid-chunk (BrokenExecutor). Tear the broken pool
         down so the next parallel call rebuilds it instead of hanging on a
-        dead executor; the current call re-dispatches serially."""
+        dead pool; the current call re-dispatches serially."""
         obs.registry().counter("faults.pool_rebuilds").inc()
         if fault_plan is not None and set(fault_plan.worker_kill_blocks) & set(missing):
             obs.registry().counter("faults.injected.worker_kills").inc()
@@ -656,7 +647,7 @@ class RecodeEngine:
 
         A pool worker dying mid-chunk (BrokenProcessPool) tears the pool
         down, re-dispatches every unfinished chunk serially, and lets the
-        next parallel call rebuild a fresh executor.
+        next parallel call rebuild a fresh pool.
         """
         ids = self._check_ids(plan, block_ids)
         blocks: dict[int, CSRBlock] = {}
@@ -926,9 +917,9 @@ class AsyncDecode:
         jitter_seed = fault_plan.seed if fault_plan is not None else 0
         chunks = deque(eng._chunks(missing, eng.chunk_blocks))
         pool = eng._ensure_pool() if eng.workers else None
-        # Kills are only real in a process pool; everywhere else they
+        # Kills are only real in the pool; inline (``workers=0``) they
         # downgrade to an in-band InjectedFault so the main process survives.
-        allow_kill = isinstance(pool, ProcessPoolExecutor)
+        allow_kill = pool is not None
         crashed = False
 
         def task(chunk_ids: list[int], allow_kill: bool) -> tuple:

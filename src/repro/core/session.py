@@ -9,7 +9,7 @@ about *sustained* steady-state loops, where decode traffic amortizes over
 repeated accesses. :class:`ExecutionSession` makes that path first-class:
 
 * **Warm engine pool** — one :class:`~repro.codecs.engine.RecodeEngine`
-  lives for the session, so process/thread pool spin-up is paid once.
+  lives for the session, so process-pool spin-up is paid once.
 * **Session-scoped decoded-block cache sized to the matrix** — every
   decoded block stays resident (12 B/nnz budget covers the whole plan),
   so iterations after the first skip decode entirely.
@@ -87,7 +87,7 @@ class ExecutionSession:
         memory: memory system for DMA timing/energy on cold runs.
         engine: borrow an existing engine (its cache too); by default the
             session builds its own with a cache sized to the matrix.
-        workers / executor: pool shape for the session-owned engine
+        workers: process-pool width for the session-owned engine
             (ignored when ``engine`` is passed or ``shards > 0``).
         mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
             run under. ``shards > 0`` selects the sharded executor
@@ -114,7 +114,6 @@ class ExecutionSession:
         memory: MemorySystem = DDR4_100GBS,
         engine: RecodeEngine | None = None,
         workers: int = 0,
-        executor: str = "thread",
         mode: str = "serial",
         depth: int = DEFAULT_DEPTH,
         shards: int = 0,
@@ -152,7 +151,7 @@ class ExecutionSession:
             # evicts and the whole plan goes resident after one pass.
             cache = DecodedBlockCache(max_bytes=max(12 * self.plan.nnz, 4096))
             self.engine = self._owned.enter_context(
-                RecodeEngine(workers=workers, executor=executor, cache=cache)
+                RecodeEngine(workers=workers, cache=cache)
             )
 
         self._fingerprint = plan_fingerprint(self.plan)

@@ -222,12 +222,13 @@ class FaultPlan:
     # -- worker-site faults ----------------------------------------------------
 
     def fire_worker_faults(self, block_id: int, allow_kill: bool) -> None:
-        """Run inside a pool worker before decoding ``block_id``.
+        """Run inside a decode task before decoding ``block_id``.
 
-        May sleep (latency), kill the worker process outright (process
-        pools only — the parent sees BrokenProcessPool and recovers), or
-        raise :class:`InjectedFault` (thread pools downgrade kills to
-        exceptions, since a thread cannot be killed).
+        May sleep (latency), kill the worker process outright (pool
+        workers only — the parent sees BrokenProcessPool and recovers), or
+        raise :class:`InjectedFault` (inline decodes — ``workers=0`` and
+        the serial re-dispatch after a failed chunk — downgrade kills to
+        exceptions, since they run in the main process).
         """
         if self.latency_s > 0 and self._fires(self.latency_rate, "latency", block_id):
             obs.registry().counter("faults.injected.latency_events").inc()
@@ -236,7 +237,7 @@ class FaultPlan:
             if allow_kill:
                 os._exit(23)
             raise InjectedFault(
-                f"injected worker kill at block {block_id} (thread pool: raised)"
+                f"injected worker kill at block {block_id} (inline decode: raised)"
             )
         if block_id in self.worker_exc_blocks or self._fires(
             self.worker_exc_rate, "worker-exc", block_id

@@ -60,9 +60,8 @@ class ServeConfig:
     root: str
     host: str = "127.0.0.1"
     port: int = 0
-    #: Engine pool width (0 = serial in-process decode).
+    #: Engine process-pool width (0 = serial in-process decode).
     workers: int = 0
-    executor: str = "thread"
     #: Execution mode for every request: "serial" | "pipelined".
     mode: str = "serial"
     depth: int = 4
@@ -99,11 +98,7 @@ class MatrixServer:
         self.cache = SharedDecodedCache(
             max_bytes=config.cache_bytes, max_matrix_frac=config.max_matrix_frac
         )
-        self.engine = RecodeEngine(
-            workers=config.workers,
-            executor=config.executor,
-            cache=self.cache,
-        )
+        self.engine = RecodeEngine(workers=config.workers, cache=self.cache)
         self.admission = AdmissionController(
             inflight_budget_bytes=config.inflight_budget_bytes,
             tenant_rate=config.tenant_rate,
@@ -140,6 +135,10 @@ class MatrixServer:
         return self._draining
 
     async def start(self) -> None:
+        if self.config.workers:
+            # Fork the decode pool before the compute threads exist, and
+            # so the first request does not pay the spin-up.
+            self.engine._ensure_pool()
         self.scheduler.start()
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port

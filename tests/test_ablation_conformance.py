@@ -8,10 +8,9 @@ its switches imply. This is the correctness oracle for every switch the
 codebase exposes — a new switch that silently changes results cannot
 land without tripping it.
 
-Engines here use thread pools (identical scheduling paths to process
-pools, none of the fork cost) so the whole grid stays tier-1 fast; the
-process-pool leg of the same contract runs in ``repro ablate --smoke``
-and ``benchmarks/bench_ablations.py``.
+Worker configs run the engine's process pool, exactly as
+``repro ablate --smoke`` and ``benchmarks/bench_ablations.py`` do; the
+matrices are small so the whole grid stays tier-1 fast.
 """
 
 from __future__ import annotations
@@ -74,7 +73,6 @@ def fixture(request):
 def _engine(config: AblationConfig) -> RecodeEngine:
     return RecodeEngine(
         workers=config.workers,
-        executor="thread",
         chunk_blocks=2,
         cache=DecodedBlockCache() if config.cache else None,
         retry_base_s=0.0,

@@ -2,7 +2,7 @@
 
 Timing-free where possible: ranking and gate arithmetic are exercised on
 hand-built synthetic results so the assertions are exact, and the one
-end-to-end leg runs the ``tiny`` profile (thread pools, one repeat).
+end-to-end leg runs the ``tiny`` profile (small matrices, one repeat).
 """
 
 from __future__ import annotations

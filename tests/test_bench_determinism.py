@@ -5,7 +5,7 @@ The determinism contract behind all BENCH artifacts: given the same
 once wall-clock-derived fields (the ``repro.util.schema`` timing-key
 convention) are stripped — same checksums, same configs, same metric
 names, same block counts. Runs here use the ``tiny`` ablation profile
-(thread pools, one repeat) so the double run stays tier-1 fast; it is
+(small matrices, one repeat) so the double run stays tier-1 fast; it is
 structurally the same sweep ``repro ablate --smoke`` performs.
 """
 

@@ -70,10 +70,6 @@ class TestEncodeEquivalence:
         ser = compress_matrix(matrix, **kwargs)
         assert _records(par) == _records(ser)
 
-    def test_thread_executor_matches_process(self, matrix, serial_plan):
-        plan = RecodeEngine(workers=2, executor="thread").encode_blocked(matrix)
-        assert _records(plan) == _records(serial_plan)
-
     def test_small_chunks_preserve_block_order(self, matrix, serial_plan):
         plan = RecodeEngine(workers=2, chunk_blocks=2).encode_blocked(matrix)
         assert _records(plan) == _records(serial_plan)
@@ -220,7 +216,8 @@ class TestEngineValidation:
             RecodeEngine(workers=-1)
 
     def test_bad_executor_rejected(self):
-        with pytest.raises(ValueError, match="executor"):
+        # The pool is always a process pool; there is no executor knob.
+        with pytest.raises(TypeError, match="executor"):
             RecodeEngine(executor="greenlet")
 
     def test_bad_chunk_blocks_rejected(self):

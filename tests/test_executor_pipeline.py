@@ -27,7 +27,6 @@ from repro.sparse.blocked import partition_csr
 def make_engine(workers=0, cache=False):
     return RecodeEngine(
         workers=workers,
-        executor="thread",
         cache=DecodedBlockCache(max_bytes=1 << 22) if cache else None,
         retry_base_s=0.0,
     )
@@ -115,7 +114,7 @@ class TestPipelinedParity:
 
     def test_process_pool_parity(self, plan, x):
         ys, _ = recoded_spmv(plan, x, mode="serial")
-        eng = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
+        eng = RecodeEngine(workers=2, retry_base_s=0.0)
         yp, _ = recoded_spmv(plan, x, engine=eng, mode="pipelined", depth=2)
         np.testing.assert_array_equal(ys, yp)
 
@@ -202,8 +201,8 @@ class TestFaultParity:
 
     def test_worker_kill_recovery_parity(self, plan, x):
         fp = FaultPlan(seed=13, worker_kill_blocks=(3,))
-        eng_s = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
-        eng_p = RecodeEngine(workers=2, executor="process", retry_base_s=0.0)
+        eng_s = RecodeEngine(workers=2, retry_base_s=0.0)
+        eng_p = RecodeEngine(workers=2, retry_base_s=0.0)
         with fp.activate():
             ys, ss = recoded_spmv(
                 plan, x, engine=eng_s, matrix_id="k",

@@ -137,9 +137,10 @@ class TestEngineIsolation:
         assert isinstance(exc_info.value, ValueError)  # backward compat
         assert isinstance(exc_info.value.__cause__, CodecError)
 
-    def test_worker_exception_in_thread_pool_is_isolated(self, plan):
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2,
-                           retry_base_s=0.0)
+    def test_worker_exception_in_process_pool_is_isolated(self, plan):
+        # The InjectedFault crosses the pickle boundary back to the parent,
+        # which re-dispatches the chunk serially, retries, then quarantines.
+        eng = RecodeEngine(workers=2, chunk_blocks=2, retry_base_s=0.0)
         try:
             fp = FaultPlan(seed=7, worker_exc_blocks=(0,))
             with fp.activate():
@@ -152,7 +153,7 @@ class TestEngineIsolation:
 
     def test_kill_downgrades_to_exception_outside_process_pools(self, plan):
         # A kill block must never take the main process down when there is
-        # no process pool to sacrifice.
+        # no pool worker to sacrifice (workers=0 decodes inline).
         eng = serial_engine()
         fp = FaultPlan(seed=7, worker_kill_blocks=(1,))
         with fp.activate():
@@ -171,8 +172,7 @@ class TestEngineIsolation:
 class TestPoolCrashRecovery:
     def test_worker_kill_rebuilds_pool_and_quarantines(self, plan):
         with obs.scoped_registry() as reg:
-            eng = RecodeEngine(workers=2, executor="process", chunk_blocks=4,
-                               retry_base_s=0.0)
+            eng = RecodeEngine(workers=2, chunk_blocks=4, retry_base_s=0.0)
             try:
                 fp = FaultPlan(seed=5, worker_kill_blocks=(3,))
                 with fp.activate():
@@ -196,6 +196,10 @@ class TestPoolCrashRecovery:
                 eng.close()
 
 
+def _boom(args):
+    raise RuntimeError("synthetic non-codec failure")
+
+
 def _sigterm_is_default() -> bool:
     return signal.getsignal(signal.SIGTERM) == signal.SIG_DFL
 
@@ -207,7 +211,7 @@ class TestPoolWorkerSignals:
         # KeyboardInterrupt) would leave a worker blocked mid-write alive
         # and the teardown waiting on it forever.
         previous = signal.signal(signal.SIGTERM, lambda signum, frame: None)
-        eng = RecodeEngine(workers=1, executor="process")
+        eng = RecodeEngine(workers=1)
         try:
             assert eng._ensure_pool().submit(_sigterm_is_default).result(timeout=60)
         finally:
@@ -218,22 +222,20 @@ class TestPoolWorkerSignals:
 class TestPoolLeakRegression:
     def test_escaping_exception_closes_pool(self, plan, monkeypatch):
         # Regression: an exception escaping mid-_run_chunked used to leave
-        # the executor running until GC. Non-CodecError escapes must shut
-        # it down deterministically.
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2)
+        # the pool running until GC. Non-CodecError escapes must shut it
+        # down deterministically. ``_boom`` is module-level so the pool
+        # can pickle it; the RuntimeError comes back across the boundary.
+        eng = RecodeEngine(workers=2, chunk_blocks=2)
         eng.decode_blocked(plan, [0, 1])
         assert eng._pool is not None
 
-        def boom(args):
-            raise RuntimeError("synthetic non-codec failure")
-
-        monkeypatch.setattr(engine_mod, "_decode_chunk", boom)
+        monkeypatch.setattr(engine_mod, "_decode_chunk", _boom)
         with pytest.raises(RuntimeError, match="synthetic"):
             eng.decode_blocked(plan)
         assert eng._pool is None, "worker pool leaked"
 
     def test_engine_still_usable_after_close(self, plan):
-        eng = RecodeEngine(workers=2, executor="thread", chunk_blocks=2)
+        eng = RecodeEngine(workers=2, chunk_blocks=2)
         eng.decode_blocked(plan, [0])
         eng.close()
         blocks = eng.decode_blocked(plan, [0, 1])  # pool rebuilt lazily
@@ -248,8 +250,7 @@ class TestSpMVPolicies:
         # counters.
         x, y_ref = reference
         with obs.scoped_registry() as reg:
-            eng = RecodeEngine(workers=2, executor="process", chunk_blocks=4,
-                               retry_base_s=0.0)
+            eng = RecodeEngine(workers=2, chunk_blocks=4, retry_base_s=0.0)
             try:
                 fp = FaultPlan(seed=42, bitflip_rate=0.05, worker_kill_blocks=(1,))
                 with fp.activate():

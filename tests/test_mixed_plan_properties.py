@@ -227,9 +227,7 @@ class TestMixedPlanExecutorParity:
             y, stats = recoded_spmv(mixed, x, policy=policy)
             assert y.tobytes() == truth
             assert stats.degraded_blocks == 0
-            engine = RecodeEngine(
-                workers=2, executor="thread", chunk_blocks=2, retry_base_s=0.0
-            )
+            engine = RecodeEngine(workers=2, chunk_blocks=2, retry_base_s=0.0)
             try:
                 y, stats = recoded_spmv(
                     mixed, x, engine=engine, policy=policy,

@@ -59,11 +59,11 @@ def test_threads_recording_during_snapshots():
     assert final == reg.value("live.c", src="w") > 0
 
 
-def _engine_metric_totals(workers: int, executor: str = "process") -> dict:
+def _engine_metric_totals(workers: int) -> dict:
     """Aggregated count/byte metrics after one encode+decode round trip."""
     matrix = generators.banded(1200, bandwidth=4, seed=3)
     with obs.scoped_registry() as reg:
-        engine = RecodeEngine(workers=workers, executor=executor)
+        engine = RecodeEngine(workers=workers)
         try:
             plan = engine.encode_blocked(matrix)
             blocks = engine.decode_blocked(plan)
@@ -82,12 +82,6 @@ def test_process_pool_metrics_equal_serial():
     serial = _engine_metric_totals(workers=0)
     pooled = _engine_metric_totals(workers=2)
     assert serial == pooled
-
-
-def test_thread_pool_metrics_equal_serial():
-    serial = _engine_metric_totals(workers=0)
-    threaded = _engine_metric_totals(workers=2, executor="thread")
-    assert serial == threaded
 
 
 def test_pool_spinup_excluded_from_decode_timing():

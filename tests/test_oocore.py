@@ -330,7 +330,7 @@ class TestExecutionParity:
     def test_pipelined_mmap_matrix(self, container, x, truth, workers, depth):
         from repro.codecs.engine import RecodeEngine
 
-        engine = RecodeEngine(workers=workers, executor="thread", retry_base_s=0.0)
+        engine = RecodeEngine(workers=workers, retry_base_s=0.0)
         with ContainerReader(container, verify="lazy") as reader:
             y, stats = recoded_spmv(
                 reader, x, engine=engine, mode="pipelined", depth=depth
@@ -505,10 +505,10 @@ def test_shard_ranges_cover_and_balance():
 
 
 class TestPipelinedSourceParity:
-    def _pipelined(self, source, x, workers=2, executor="thread", **kw):
+    def _pipelined(self, source, x, workers=2, **kw):
         from repro.codecs.engine import RecodeEngine
 
-        engine = RecodeEngine(workers=workers, executor=executor, retry_base_s=0.0)
+        engine = RecodeEngine(workers=workers, retry_base_s=0.0)
         try:
             return recoded_spmv(
                 source, x, engine=engine, mode="pipelined", depth=4, **kw
@@ -527,7 +527,7 @@ class TestPipelinedSourceParity:
     def test_reader_source_process_executor(self, plan, container, x):
         y_mem, s_mem = self._pipelined(plan, x)
         with ContainerReader(container, verify="lazy") as reader:
-            y_proc, s_proc = self._pipelined(reader, x, executor="process")
+            y_proc, s_proc = self._pipelined(reader, x)
         assert sha(y_proc) == sha(y_mem)
         assert_stats_parity(s_proc, s_mem)
 
@@ -575,7 +575,7 @@ class TestCooperativeCancel:
         from repro.codecs.engine import RecodeEngine
         from repro.core import RunCancelled
 
-        engine = RecodeEngine(workers=2, executor="thread", retry_base_s=0.0)
+        engine = RecodeEngine(workers=2, retry_base_s=0.0)
         try:
             with ContainerReader(container, verify="lazy") as reader:
                 with pytest.raises(RunCancelled):

@@ -60,7 +60,7 @@ async def _one(port, op="spmv", tenant="t", **kw):
 SERVER_VARIANTS = [
     pytest.param({"workers": 0, "mode": "serial"}, id="serial"),
     pytest.param(
-        {"workers": 2, "executor": "thread", "mode": "pipelined", "depth": 3},
+        {"workers": 2, "mode": "pipelined", "depth": 3},
         id="pipelined",
     ),
 ]
@@ -280,6 +280,13 @@ class TestLifecycle:
         resps = run(fire())
         assert all(r.get("ok") for r in resps)
         st.stop()  # raises if the server thread crashed
+
+    def test_decode_pool_forked_at_boot(self, root):
+        # Before any request, so the workers fork before the compute
+        # threads exist and the first request pays no spin-up.
+        with ServerThread(ServeConfig(root=root, port=0, workers=2)) as st:
+            assert st.server.engine._pool is not None
+            assert st.server.engine.stats.pool_startup_seconds > 0
 
     def test_double_boot_distinct_ports(self, root):
         with ServerThread(ServeConfig(root=root, port=0)) as a:
