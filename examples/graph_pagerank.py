@@ -80,9 +80,9 @@ def main() -> None:
               f"decoded once, then served from the session cache)")
         st = sess.stats()
         print(f"session: {st['cold_calls']} cold call(s), {st['warm_calls']} "
-              f"warm, {st['blocks_reused']} block multiplies straight from "
-              f"cache ({st['cache_hit_rate']:.0%} hit rate) — steady-state "
-              f"iterations skip decode entirely")
+              f"warm, {st['blocks_reused']} block multiplies from the "
+              f"{st['layout_bytes'] / 1e6:.1f} MB resident layout — "
+              f"steady-state iterations skip decode entirely")
     print("top-5 hubs:", ", ".join(f"node {i} ({ranks[i]:.4f})" for i in top))
 
     # The solver must match the hand-rolled loop it replaced, bit for bit.

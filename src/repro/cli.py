@@ -147,6 +147,17 @@ def cmd_compress(args) -> int:
     return 0
 
 
+#: The registry counters behind ``repro spmv``'s ``pipeline:``/``chaos:`` lines.
+_SPMV_SUMMARY_COUNTERS = (
+    "spmv.pipeline.multiply_idle_seconds",
+    "spmv.pipeline.decode_idle_seconds",
+    "faults.blocks_quarantined",
+    "faults.retries",
+    "spmv.degraded_blocks",
+    "faults.pool_rebuilds",
+)
+
+
 def cmd_spmv(args) -> int:
     if args.trace_out:
         obs.enable_tracing()
@@ -207,6 +218,14 @@ def cmd_spmv(args) -> int:
                   else RecodeEngine(workers=args.workers, cache=DecodedBlockCache()))
         x = (np.ones(m.ncols) if args.nrhs == 1
              else np.ones((m.ncols, args.nrhs)))
+        # The summary lines report this call's work: deltas of the
+        # registry totals, which may already hold earlier in-process runs.
+        reg = obs.registry()
+        before = {name: reg.value(name) for name in _SPMV_SUMMARY_COUNTERS}
+
+        def this_call(name: str) -> float:
+            return reg.value(name) - before[name]
+
         ctx = fault_plan.activate() if fault_plan else contextlib.nullcontext()
         with contextlib.ExitStack() as stack:
             stack.enter_context(ctx)
@@ -253,16 +272,14 @@ def cmd_spmv(args) -> int:
                          f"skew={oc['shard_skew']:.2f}x")
             print(line)
         if args.pipeline:
-            reg = obs.registry()
             print(f"pipeline: depth={args.depth} "
-                  f"multiply_idle={reg.value('spmv.pipeline.multiply_idle_seconds'):.3f}s "
-                  f"decode_idle={reg.value('spmv.pipeline.decode_idle_seconds'):.3f}s")
+                  f"multiply_idle={this_call('spmv.pipeline.multiply_idle_seconds'):.3f}s "
+                  f"decode_idle={this_call('spmv.pipeline.decode_idle_seconds'):.3f}s")
         if fault_plan is not None:
-            reg = obs.registry()
-            print(f"chaos: quarantined={reg.value('faults.blocks_quarantined'):.0f} "
-                  f"retries={reg.value('faults.retries'):.0f} "
-                  f"degraded_blocks={reg.value('spmv.degraded_blocks'):.0f} "
-                  f"pool_rebuilds={reg.value('faults.pool_rebuilds'):.0f}")
+            print(f"chaos: quarantined={this_call('faults.blocks_quarantined'):.0f} "
+                  f"retries={this_call('faults.retries'):.0f} "
+                  f"degraded_blocks={this_call('spmv.degraded_blocks'):.0f} "
+                  f"pool_rebuilds={this_call('faults.pool_rebuilds'):.0f}")
     if args.metrics_out:
         obs.write_metrics(args.metrics_out)
         print(f"wrote {args.metrics_out}")

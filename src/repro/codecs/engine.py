@@ -167,6 +167,10 @@ class DecodedBlockCache:
     The budget counts raw CSR payload bytes (12 B/nnz), i.e. what the
     blocks would occupy decompressed in UDP scratchpads. Thread-safe: the
     engine's decode pool may probe it concurrently.
+
+    ``removals`` counts the times an entry left the cache (every eviction
+    and every :meth:`clear`): while it holds still, whatever a reader
+    found resident is still resident, without probing again.
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES, max_blocks: int | None = None):
@@ -177,6 +181,7 @@ class DecodedBlockCache:
         self.max_bytes = max_bytes
         self.max_blocks = max_blocks
         self.stats = CacheStats()
+        self.removals = 0
         self.cache_id = f"c{next(_cache_ids)}"
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple, tuple[CSRBlock, int]] = OrderedDict()
@@ -210,11 +215,13 @@ class DecodedBlockCache:
                 _, (_, evicted_bytes) = self._entries.popitem(last=False)
                 self.stats.current_bytes -= evicted_bytes
                 self.stats.evictions += 1
+                self.removals += 1
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self.stats.current_bytes = 0
+            self.removals += 1
 
 
 # ---------------------------------------------------------------------------

@@ -1,25 +1,31 @@
-"""The recoded-SpMV/SpMM block step and the four schedules that run it.
+"""The recoded-SpMV/SpMM block step and the three schedules that run it.
 
 The paper's executor (Figs. 6-7) is one loop: stream a block's compressed
 records from DRAM, recode them, multiply. :class:`BlockStep` is that
 loop's body, written once: poll ``cancel``, stream the block's two records
 and charge their ``dram -> udp`` DMA into the run's :class:`RunLedger`,
-take the block from its :func:`block_source` (engine, plan, UDP toolchain
-or session cache), then settle it — record its ``udp -> cpu`` bytes, or
-apply the failure policy (``strict`` raises a :class:`BlockDecodeError`
-naming the block, ``degrade`` substitutes :func:`raw_block`).
+take the block from its :func:`block_source` (engine, plan or UDP
+toolchain), then settle it — record its ``udp -> cpu`` bytes, or apply
+the failure policy (``strict`` raises a :class:`BlockDecodeError` naming
+the block, ``degrade`` substitutes :func:`raw_block`).
 
 The schedules differ only in where a block comes from and in what order
-blocks finish: **serial** and **session-warm** run it in block order as
-the blocked kernels' ``recode`` hook (warm blocks come from the cache,
-with no stream or DMA); **pipelined** (:func:`run_pipelined`) streams
-every block, then settles decode completions as they land; **sharded**
+blocks finish: **serial** runs it in block order as the blocked kernels'
+``recode`` hook; **pipelined** (:func:`run_pipelined`) streams every
+block, then settles decode completions as they land; **sharded**
 (:func:`run_sharded`) runs the serial schedule over block ranges in
 worker processes. Out-of-order results fold through a
 :class:`BlockAccumulator`, and every run ends in one
 :meth:`RunLedger.fold` in block order, so results, ``TrafficLog`` totals,
 ``dma_seconds``, degraded counts and errors are bit-identical across
 schedules.
+
+A warm :class:`~repro.core.session.ExecutionSession` runs no block step:
+its blocks are already decoded and resident, so nothing is streamed,
+charged or settled, and it multiplies from one
+:class:`~repro.sparse.layout.ResidentLayout` instead. That layout calls
+the same :func:`~repro.sparse.layout.segment_sums` as the blocked kernels
+and :func:`block_row_sums`, and is bit-identical to serial.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ from repro.memsys.dram import MemorySystem
 from repro.memsys.traffic import TrafficLog
 from repro.sparse.blocked import CSRBlock
 from repro.sparse.csr import VALUE_DTYPE
+from repro.sparse.layout import segment_sums
 
 #: Default prefetch depth (chunk tasks in flight) for ``mode="pipelined"``.
 DEFAULT_DEPTH = DEFAULT_PREFETCH_CHUNKS
@@ -165,25 +172,15 @@ def block_row_sums(
 ) -> tuple[np.ndarray, np.ndarray] | None:
     """One block's multiply arithmetic: ``(rows, seg)`` or None when empty.
 
-    Identical to :func:`repro.sparse.spmv.spmv_blocked` /
-    :func:`repro.sparse.spmm.spmm_blocked` — same products, same
-    ``np.add.reduceat`` segment starts — so each row's partial sum is
-    bit-identical to the serial kernels'. Factored out of
-    :func:`multiply_block` so shard workers can compute per-block sums and
-    ship them back for accumulator folding in the parent process.
+    The blocked kernels' :func:`~repro.sparse.layout.segment_sums` over the
+    block's row segments, so each row's partial sum is bit-identical to
+    the serial kernels'. Shard workers compute these and ship them back
+    for accumulator folding in the parent process.
     """
     if block.nnz == 0:
         return None
     rows, seg_starts = block.row_segments()
-    if rows.size == 0:
-        return None
-    if x.ndim == 1:
-        products = block.val * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts)
-    else:
-        products = block.val[:, None] * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts, axis=0)
-    return rows, seg
+    return rows, segment_sums(block.val, block.col_idx, x, seg_starts)
 
 
 def multiply_block(
@@ -207,7 +204,7 @@ def check_operand(x, ncols: int, fused: bool) -> np.ndarray:
     return x
 
 
-def _claim_out(shape: tuple, out: "np.ndarray | None") -> np.ndarray:
+def claim_out(shape: tuple, out: "np.ndarray | None") -> np.ndarray:
     """Resolve an executor's accumulator: a fresh zeroed array, or a
     caller-supplied (session-reused) buffer zero-filled in place — the
     accumulation sequence, and therefore the result bits, are identical
@@ -334,8 +331,7 @@ class BlockStep:
     """The per-block step every schedule runs (see the module docstring).
 
     Calling it is the blocked kernels' ``recode`` hook (blocks in order,
-    off its own cursor). Without a ``memory`` it is the session-warm
-    variant: resident blocks, nothing streamed or charged.
+    off its own cursor).
     """
 
     __slots__ = (
@@ -348,14 +344,14 @@ class BlockStep:
         source: Callable[[int, tuple], CSRBlock],
         *,
         ledger: RunLedger,
+        memory: MemorySystem,
         policy: str = "strict",
-        memory: MemorySystem | None = None,
         cancel: "Callable[[], bool] | None" = None,
         span: str = "spmv.block",
     ):
         self.plan = plan
         self.source = source
-        self.dma = DMAEngine(memory, log=ledger.log) if memory is not None else None
+        self.dma = DMAEngine(memory, log=ledger.log)
         self.ledger = ledger
         self.policy = policy
         self.cancel = cancel
@@ -369,8 +365,6 @@ class BlockStep:
 
     def run(self, i: int) -> CSRBlock:
         """Stream, decode and settle block *i*."""
-        if self.dma is None:
-            return self.settle(i, self.source(i, None))
         with obs.trace(self.span, block=i):
             recs = self.stream(i)
             try:
@@ -436,7 +430,7 @@ def run_pipelined(
     drops in-flight chunks); ``strict`` failures land in the ledger.
     """
     plan, ledger, cancel = step.plan, step.ledger, step.cancel
-    out = _claim_out((plan.blocked.shape[0],) + x.shape[1:], out)
+    out = claim_out((plan.blocked.shape[0],) + x.shape[1:], out)
     acc = BlockAccumulator(plan.blocked.blocks, out)
 
     engine_ids: list[int] = []
@@ -630,7 +624,7 @@ def run_sharded(
         if covered != list(range(nblocks)):
             raise ValueError("shard bounds must cover all blocks contiguously")
         bounds = tuple(r for r in bounds if len(r))
-    out = _claim_out((reader.shape[0],) + x.shape[1:], out)
+    out = claim_out((reader.shape[0],) + x.shape[1:], out)
     if not bounds:
         return out, 0.0, {
             "shards": 0, "mapped_bytes": 0, "pages_touched": 0,

@@ -26,15 +26,27 @@ repeated accesses. :class:`ExecutionSession` makes that path first-class:
   record's CRC is checked on first touch and skipped afterwards.
 
 Once every block of the plan has decoded cleanly into the session cache,
-calls take the *warm schedule*: the serial schedule of the one
-:class:`~repro.core.executor.BlockStep`, with the cache as the block
-source, through the exact same blocked kernels — no DRAM stream, no DMA
-charge, no decode — which is what drives per-iteration cost below the
-0.5x-of-cold gate and keeps solver end-to-end DRAM traffic at
-"decode once, then vectors only".
+calls take the *warm path*. The first warm call builds a
+:class:`~repro.sparse.layout.ResidentLayout` from the cached blocks: their
+``col_idx``/``val`` concatenated (a second resident decoded copy, 12
+B/nnz, reported as ``layout_bytes`` in :meth:`ExecutionSession.stats`)
+with each block's row segments offset into it. Every warm SpMV and SpMM
+then multiplies in a few block-aligned chunks instead of a per-block
+loop — no DRAM stream, no DMA charge, no decode — bit-identical to the
+serial executor. That is what drives per-iteration cost below the
+0.5x-of-cold gate and keeps solver end-to-end DRAM traffic at "decode
+once, then vectors only".
+
+Warm calls do not probe the cache block by block. The cache's
+``removals`` counter moves on every eviction and ``clear()``; while it
+stands still the layout's blocks are all still resident. When it moves
+(an external clear, or another session on a shared engine evicting), the
+next call probes every block once: if all are there, the layout stays;
+if any is gone, the call runs cold and re-warms the cache. So the
+``session.hit_rate`` gauge does not move on warm calls.
 
 Fault semantics are preserved conservatively: while a
-:class:`~repro.faults.FaultPlan` is armed the warm schedule is disabled
+:class:`~repro.faults.FaultPlan` is armed the warm path is disabled
 outright, so chaos runs exercise the full stream/decode/degrade
 machinery on *every* iteration with honest per-iteration traffic
 accounting. Scrub (:meth:`ContainerReader.record_health`) always
@@ -54,7 +66,7 @@ from repro import faults, obs
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine, plan_fingerprint
 from repro.codecs.pipeline import MatrixCompression
-from repro.core.executor import DEFAULT_DEPTH, BlockStep, RunLedger, check_operand
+from repro.core.executor import DEFAULT_DEPTH, RunLedger, check_operand, claim_out
 from repro.core.spmv_pipeline import (
     PipelineStats,
     open_plan,
@@ -63,16 +75,21 @@ from repro.core.spmv_pipeline import (
     recoded_spmv,
 )
 from repro.memsys.dram import DDR4_100GBS, MemorySystem
-from repro.sparse.blocked import CSRBlock
 from repro.sparse.csr import VALUE_DTYPE
-from repro.sparse.spmm import spmm_blocked
-from repro.sparse.spmv import spmv_blocked
+from repro.sparse.layout import ResidentLayout
+# Sessions no longer call the blocked kernels, but the host benchmark's
+# traced run (hostbench/layers.py) wraps them here by name.
+from repro.sparse.spmm import spmm_blocked  # noqa: F401
+from repro.sparse.spmv import spmv_blocked  # noqa: F401
 
 _session_ids = itertools.count()
 
-
-class _ColdBlock(Exception):
-    """Internal: a warm-schedule probe found a block missing from the cache."""
+#: The per-call ``session.*`` instruments, looked up once per registry.
+_COUNTERS = obs.BoundInstruments(lambda reg, name: reg.counter(name))
+_GAUGES = obs.BoundInstruments(lambda reg, name: reg.gauge(name))
+_CALL_SECONDS = obs.BoundInstruments(
+    lambda reg, _key: reg.histogram("session.call_seconds")
+)
 
 
 class ExecutionSession:
@@ -92,12 +109,12 @@ class ExecutionSession:
         mode: ``"serial"`` or ``"pipelined"`` — the executor cold calls
             run under. ``shards > 0`` selects the sharded executor
             instead (path-backed containers only; decode happens in
-            shard workers, so no engine and no warm schedule — the
+            shard workers, so no engine and no warm path — the
             session still amortizes the reader walk and extents).
         depth / policy: forwarded to the executor on cold calls.
         reuse: ``False`` makes every call cold-per-call (the ablation
             axis): the cache is cleared before each call, no warm
-            schedule, no CRC memo, fresh output buffers. Results are
+            path, no CRC memo, fresh output buffers. Results are
             bit-identical either way.
 
     ``spmv``/``spmm`` return ``(y, stats)`` exactly like the single-shot
@@ -156,6 +173,8 @@ class ExecutionSession:
 
         self._fingerprint = plan_fingerprint(self.plan)
         self._warm = False
+        self._layout: ResidentLayout | None = None
+        self._layout_removals = -1
         self._out: dict[tuple, np.ndarray] = {}
 
         # Cumulative session counters (plain ints; mirrored into the
@@ -189,6 +208,7 @@ class ExecutionSession:
         cold-per-call axis and cold-phase benchmarking both use this.
         """
         self._warm = False
+        self._layout = None
         self._out.clear()
         if self.engine is not None and self.engine.cache is not None:
             self.engine.cache.clear()
@@ -197,7 +217,7 @@ class ExecutionSession:
 
     @property
     def warm(self) -> bool:
-        """Whether the next call can take the cache-resident warm schedule."""
+        """Whether the next call can take the cache-resident warm path."""
         return self._warm and self.reuse and faults.active() is None
 
     def _claim_buffer(self, shape: tuple, out: np.ndarray | None) -> np.ndarray:
@@ -211,42 +231,58 @@ class ExecutionSession:
             self._out[shape] = buf
         else:
             self.out_reuses += 1
-            obs.registry().counter("session.out_buffer_reuses").inc()
+            _COUNTERS["session.out_buffer_reuses"].inc()
         return buf
 
-    def _cached_block(self, i: int, _recs) -> "CSRBlock":
-        """The warm step's source: block *i* straight out of the cache."""
-        block = self.engine.cache.get((self.matrix_id, i, self._fingerprint))
-        if block is None:
-            raise _ColdBlock(i)
-        return block
+    def _resident_layout(self) -> ResidentLayout | None:
+        """The warm path's layout, or None when a block left the cache.
+
+        Probes the cache only when its ``removals`` counter moved since
+        the last probe (or nothing was built yet); a miss drops the layout
+        and the warm flag, so the call runs cold and re-fills the cache.
+        """
+        cache = self.engine.cache
+        removals = cache.removals
+        if self._layout is not None and removals == self._layout_removals:
+            return self._layout
+        blocks = []
+        for i in range(self.plan.nblocks):
+            block = cache.get((self.matrix_id, i, self._fingerprint))
+            if block is None:
+                self._warm = False
+                self._layout = None
+                return None
+            blocks.append(block)
+        if self._layout is None:
+            self._layout = ResidentLayout(blocks, self.plan.blocked.shape[1])
+        self._layout_removals = removals
+        return self._layout
 
     def _record_call(self, warm: bool, nblocks: int, seconds: float) -> None:
-        reg = obs.registry()
         self.calls += 1
-        reg.counter("session.calls").inc()
+        _COUNTERS["session.calls"].inc()
         if warm:
             self.warm_calls += 1
             self.blocks_reused += nblocks
-            reg.counter("session.warm_calls").inc()
-            reg.counter("session.blocks_reused").inc(nblocks)
+            _COUNTERS["session.warm_calls"].inc()
+            _COUNTERS["session.blocks_reused"].inc(nblocks)
         else:
             self.cold_calls += 1
-            reg.counter("session.cold_calls").inc()
+            _COUNTERS["session.cold_calls"].inc()
         if self.reader is not None:
             skips = self.reader.crc_skips
             delta = skips - self._crc_skips_seen
             if delta > 0:
-                reg.counter("session.crc_skips").inc(delta)
+                _COUNTERS["session.crc_skips"].inc(delta)
             self._crc_skips_seen = skips
         if self.engine is not None and self.engine.cache is not None:
             st = self.engine.cache.stats
-            reg.gauge("session.hit_rate").set(st.hit_rate)
-            reg.gauge("session.resident_bytes").set(st.current_bytes)
-        reg.histogram("session.call_seconds").observe(seconds)
+            _GAUGES["session.hit_rate"].set(st.hit_rate)
+            _GAUGES["session.resident_bytes"].set(st.current_bytes)
+        _CALL_SECONDS[None].observe(seconds)
 
-    def _run(self, x, prefix, kernel, recoded, out):
-        """One call: the warm schedule when the whole plan is resident, else
+    def _run(self, x, prefix, recoded, out):
+        """One call: the warm path when the whole plan is resident, else
         a cold ``recoded`` run over the session's plan or reader."""
         if self._closed:
             raise RuntimeError("session is closed")
@@ -254,27 +290,23 @@ class ExecutionSession:
         start = time.perf_counter()
         if not self.reuse:
             self.reset()
-        buf = self._claim_buffer((self.plan.blocked.shape[0],) + x.shape[1:], out)
-        if self.warm:
-            # The warm schedule: the serial one with cache-resident blocks,
-            # so every result bit matches the cold executors. No DRAM
-            # stream, no DMA charge, no record CRC, no decode.
+        shape = (self.plan.blocked.shape[0],) + x.shape[1:]
+        buf = self._claim_buffer(shape, out)
+        layout = self._resident_layout() if self.warm else None
+        if layout is not None:
+            # No DRAM stream, no DMA charge, no record CRC, no decode: the
+            # resident blocks go to the CPU (udp -> cpu) and multiply.
+            y = layout.multiply(x, claim_out(shape, buf))
             ledger = RunLedger()
-            step = BlockStep(self.plan, self._cached_block, ledger=ledger,
-                             policy=self.policy)
-            try:
-                y = kernel(self.plan.blocked, x, recode=step, out=buf)
-            except _ColdBlock:
-                # Cache lost entries (external clear); fall back to cold.
-                self._warm = False
-            else:
-                stats = record_run(
-                    prefix, self.plan, ledger, ledger.fold(), engine=self.engine,
-                    policy=self.policy, mode=self.mode,
-                    nrhs=1 if x.ndim == 1 else int(x.shape[1]), started=start,
-                )
-                self._record_call(True, self.plan.nblocks, time.perf_counter() - start)
-                return y, stats
+            if self.plan.nblocks:
+                ledger.log.record("udp", "cpu", 12 * self.plan.nnz)
+            stats = record_run(
+                prefix, self.plan, ledger, 0.0, engine=self.engine,
+                policy=self.policy, mode=self.mode,
+                nrhs=1 if x.ndim == 1 else int(x.shape[1]), started=start,
+            )
+            self._record_call(True, self.plan.nblocks, time.perf_counter() - start)
+            return y, stats
         y, stats = recoded(
             self.reader if self.reader is not None else self.plan, x, out=buf,
             memory=self.memory, engine=self.engine, matrix_id=self.matrix_id,
@@ -302,13 +334,13 @@ class ExecutionSession:
     ) -> tuple[np.ndarray, PipelineStats]:
         """``y = A @ x`` with steady-state reuse. Returns ``(y, stats)``;
         ``y`` is the session buffer unless ``out`` is passed."""
-        return self._run(x, "spmv", spmv_blocked, recoded_spmv, out)
+        return self._run(x, "spmv", recoded_spmv, out)
 
     def spmm(
         self, x: np.ndarray, out: np.ndarray | None = None
     ) -> tuple[np.ndarray, PipelineStats]:
         """Fused ``Y = A @ X`` for ``k`` right-hand sides over the session."""
-        return self._run(x, "spmm", spmm_blocked, recoded_spmm, out)
+        return self._run(x, "spmm", recoded_spmm, out)
 
     # -- introspection -----------------------------------------------------
 
@@ -327,5 +359,6 @@ class ExecutionSession:
             "cache_misses": cache.misses if cache else 0,
             "cache_hit_rate": cache.hit_rate if cache else 0.0,
             "resident_bytes": cache.current_bytes if cache else 0,
+            "layout_bytes": self._layout.nbytes if self._layout is not None else 0,
             "engine": self.engine.stats.as_dict() if self.engine else None,
         }

@@ -56,6 +56,14 @@ from repro.sparse.spmv import spmv_blocked
 #: Execution modes accepted by :func:`recoded_spmv` / :func:`recoded_spmm`.
 MODES = ("serial", "pipelined")
 
+#: :func:`record_run`'s ``{prefix}.{name}`` instruments, keyed
+#: ``(prefix, name)`` and looked up once per registry.
+_RUN_COUNTERS = obs.BoundInstruments(lambda reg, key: reg.counter(".".join(key)))
+_RUN_GAUGES = obs.BoundInstruments(lambda reg, key: reg.gauge(".".join(key)))
+_RUN_SECONDS = obs.BoundInstruments(
+    lambda reg, prefix: reg.histogram(f"{prefix}.seconds")
+)
+
 
 @dataclass(frozen=True)
 class PipelineStats:
@@ -189,27 +197,27 @@ def record_run(
         nrhs=nrhs,
         oocore=oocore,
     )
-    reg = obs.registry()
+    counter, gauge = _RUN_COUNTERS, _RUN_GAUGES
     if oocore is not None:
-        reg.counter(f"{prefix}.oocore.runs").inc()
-        reg.counter(f"{prefix}.oocore.bytes_mapped").inc(oocore["mapped_bytes"])
-        reg.counter(f"{prefix}.oocore.pages_touched").inc(oocore["pages_touched"])
+        counter[prefix, "oocore.runs"].inc()
+        counter[prefix, "oocore.bytes_mapped"].inc(oocore["mapped_bytes"])
+        counter[prefix, "oocore.pages_touched"].inc(oocore["pages_touched"])
         if oocore["shards"]:
-            reg.counter(f"{prefix}.oocore.shards").inc(oocore["shards"])
-            reg.gauge(f"{prefix}.oocore.shard_skew").set(oocore["shard_skew"])
-    reg.counter(f"{prefix}.iterations").inc()
-    reg.counter(f"{prefix}.blocks").inc(plan.nblocks)
-    reg.counter(f"{prefix}.nnz").inc(plan.nnz)
-    reg.counter(f"{prefix}.flops").inc(2 * nrhs * plan.nnz)
-    reg.counter(f"{prefix}.bytes.dram_to_udp").inc(log.bytes_on("dram", "udp"))
-    reg.counter(f"{prefix}.bytes.udp_to_cpu").inc(log.bytes_on("udp", "cpu"))
-    reg.counter(f"{prefix}.bytes.baseline").inc(stats.baseline_dram_bytes)
-    reg.counter(f"{prefix}.dma_seconds").inc(dma_seconds)
-    reg.gauge(f"{prefix}.traffic_ratio").set(stats.traffic_ratio)
+            counter[prefix, "oocore.shards"].inc(oocore["shards"])
+            gauge[prefix, "oocore.shard_skew"].set(oocore["shard_skew"])
+    counter[prefix, "iterations"].inc()
+    counter[prefix, "blocks"].inc(plan.nblocks)
+    counter[prefix, "nnz"].inc(plan.nnz)
+    counter[prefix, "flops"].inc(2 * nrhs * plan.nnz)
+    counter[prefix, "bytes.dram_to_udp"].inc(log.bytes_on("dram", "udp"))
+    counter[prefix, "bytes.udp_to_cpu"].inc(log.bytes_on("udp", "cpu"))
+    counter[prefix, "bytes.baseline"].inc(stats.baseline_dram_bytes)
+    counter[prefix, "dma_seconds"].inc(dma_seconds)
+    gauge[prefix, "traffic_ratio"].set(stats.traffic_ratio)
     if ledger.degraded:
-        reg.counter("spmv.degraded_blocks").inc(ledger.degraded)
-        reg.counter(f"{prefix}.degraded_iterations").inc()
-    reg.histogram(f"{prefix}.seconds").observe(time.perf_counter() - started)
+        counter["spmv", "degraded_blocks"].inc(ledger.degraded)
+        counter[prefix, "degraded_iterations"].inc()
+    _RUN_SECONDS[prefix].observe(time.perf_counter() - started)
     return stats
 
 

@@ -70,8 +70,10 @@ class SharedDecodedCache(DecodedBlockCache):
             return self._matrix_bytes.get(matrix_id, 0)
 
     def _drop(self, key: tuple) -> None:
-        """Remove one entry, maintaining both byte ledgers (lock held)."""
+        """Remove one entry, maintaining both byte ledgers and the removal
+        count (lock held)."""
         _, nbytes = self._entries.pop(key)
+        self.removals += 1
         self.stats.current_bytes -= nbytes
         mid = key[0]
         left = self._matrix_bytes.get(mid, 0) - nbytes
@@ -127,6 +129,7 @@ class SharedDecodedCache(DecodedBlockCache):
             self._entries.clear()
             self._matrix_bytes.clear()
             self.stats.current_bytes = 0
+            self.removals += 1
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,8 @@ This package implements the paper's Section II background from scratch:
 * :mod:`~repro.sparse.spmv` — reference and vectorized SpMV kernels.
 * :mod:`~repro.sparse.blocked` — the block-CSR partitioner producing the
   8 KB blocks the UDP decompresses (and 32 KB blocks for CPU Snappy).
+* :mod:`~repro.sparse.layout` — the blocked kernels' segment arithmetic and
+  the resident whole-plan layout warm sessions multiply from.
 * :mod:`~repro.sparse.mmio` — MatrixMarket (.mtx) reader/writer.
 """
 

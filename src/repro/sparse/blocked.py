@@ -14,6 +14,7 @@ and the value stream (8 B/entry) — which are what the codecs compress
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -106,8 +107,9 @@ class BlockedCSR:
     blocks: tuple[CSRBlock, ...]
     block_bytes: int
 
-    @property
+    @cached_property
     def nnz(self) -> int:
+        # Cached: per-run accounting reads it several times per call.
         return sum(b.nnz for b in self.blocks)
 
     @property

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.sparse.blocked import BlockedCSR, CSRBlock
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
+from repro.sparse.layout import segment_sums
 
 
 def _check_x(a_shape: tuple[int, int], x: np.ndarray) -> np.ndarray:
@@ -71,11 +72,7 @@ def spmm_blocked(
         if block.nnz == 0:
             continue
         rows, seg_starts = block.row_segments()
-        if rows.size == 0:
-            continue
-        products = block.val[:, None] * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts, axis=0)
-        out[rows] += seg
+        out[rows] += segment_sums(block.val, block.col_idx, x, seg_starts)
     return out
 
 

@@ -26,6 +26,7 @@ import numpy as np
 
 from repro.sparse.blocked import BlockedCSR, CSRBlock
 from repro.sparse.csr import CSRMatrix, VALUE_DTYPE
+from repro.sparse.layout import segment_sums
 
 #: SpMV performs one multiply and one add per stored non-zero.
 FLOPS_PER_NNZ = 2
@@ -136,9 +137,5 @@ def spmv_blocked(
         if block.nnz == 0:
             continue
         rows, seg_starts = block.row_segments()
-        if rows.size == 0:
-            continue
-        products = block.val * x[block.col_idx]
-        seg = np.add.reduceat(products, seg_starts)
-        out[rows] += seg
+        out[rows] += segment_sums(block.val, block.col_idx, x, seg_starts)
     return out

@@ -8,17 +8,25 @@ registries. Faulted/degraded runs must stay cold (honest per-iteration
 traffic), and scrub must keep re-checking CRCs regardless of the memo.
 """
 
+import hashlib
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import faults, obs
 from repro.codecs import save_plan
 from repro.codecs.container import ContainerReader
 from repro.codecs.engine import DecodedBlockCache, RecodeEngine
+from repro.codecs.pipeline import compress_matrix
 from repro.codecs.stats import dsh_plan
 from repro.collection import generators
 from repro.core import ExecutionSession, recoded_spmm, recoded_spmv
 from repro.faults import FaultPlan
+from repro.sparse import CSRMatrix, layout
+from repro.sparse.spmm import spmm_blocked
+from repro.sparse.spmv import spmv_blocked
 
 
 @pytest.fixture(scope="module")
@@ -264,5 +272,118 @@ class TestObservability:
             # ...while the engine's own totals keep accumulating.
             assert engine.stats.cache_hits == plan.nblocks
             assert engine.stats.blocks_decoded == plan.nblocks
+        finally:
+            engine.close()
+
+
+# ---------------------------------------------------------------------------
+# Warm-layout parity: the resident layout must reproduce the blocked kernels
+# bit for bit, split rows across three or more blocks included.
+# ---------------------------------------------------------------------------
+
+
+def _sha(a: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+@st.composite
+def _parity_cases(draw):
+    """A random matrix with empty (and empty trailing) rows, long rows,
+    stored and operand ``-0.0``s, a block budget and operands."""
+    nrows = draw(st.integers(1, 24))
+    ncols = draw(st.integers(1, 40))
+    counts = draw(st.lists(
+        st.one_of(st.just(0), st.integers(1, 4), st.integers(9, 40)),
+        min_size=nrows, max_size=nrows,
+    ))
+    counts += [0] * draw(st.integers(0, 3))  # empty trailing rows
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    cols = [np.sort(rng.choice(ncols, size=min(c, ncols), replace=False))
+            for c in counts]
+    row_ptr = np.concatenate([[0], np.cumsum([c.size for c in cols])])
+    val = rng.standard_normal(int(row_ptr[-1]))
+    val[rng.random(val.size) < draw(st.sampled_from([0.0, 0.3, 1.0]))] = -0.0
+    m = CSRMatrix(
+        (len(counts), ncols), row_ptr,
+        np.concatenate(cols + [np.empty(0, dtype=np.int64)]), val,
+    )
+    block_bytes = draw(st.sampled_from([48, 60, 96, 240, 8192]))
+    k = draw(st.integers(1, 4))
+    x = rng.standard_normal(ncols)
+    X = rng.standard_normal((ncols, k))
+    x[rng.random(ncols) < 0.2] = -0.0
+    X[rng.random((ncols, k)) < 0.2] = -0.0
+    return m, block_bytes, x, X
+
+
+class TestWarmLayoutParity:
+    @settings(max_examples=60)
+    @given(
+        case=_parity_cases(),
+        chunk_bytes=st.sampled_from([8, 96, 1024, layout.CHUNK_PRODUCT_BYTES]),
+        reps=st.integers(1, 3),
+    )
+    def test_warm_calls_sha_identical_to_blocked_kernels(self, case, chunk_bytes, reps):
+        m, block_bytes, x, X = case
+        plan = compress_matrix(m, block_bytes=block_bytes)
+        want_y = _sha(spmv_blocked(plan.blocked, x))
+        want_Y = _sha(spmm_blocked(plan.blocked, X))
+        nrows = plan.blocked.shape[0]
+        # Small chunk bounds put chunk edges inside split rows.
+        with mock.patch.object(layout, "CHUNK_PRODUCT_BYTES", chunk_bytes), \
+                ExecutionSession(plan) as sess:
+            y, _ = sess.spmv(x)
+            assert _sha(y) == want_y
+            for _ in range(reps):
+                y, stats = sess.spmv(x)
+                assert stats.dram_bytes == 0 and _sha(y) == want_y
+                Y, stats = sess.spmm(X)
+                assert stats.dram_bytes == 0 and _sha(Y) == want_Y
+                out = np.full(nrows, np.nan)
+                y, _ = sess.spmv(x, out=out)
+                assert y is out and _sha(out) == want_y
+                OUT = np.full((nrows, X.shape[1]), np.nan)
+                Y, _ = sess.spmm(X, out=OUT)
+                assert Y is OUT and _sha(OUT) == want_Y
+            assert sess.cold_calls == 1 and sess.warm_calls == 4 * reps
+            assert sess.stats()["layout_bytes"] >= 12 * plan.nnz
+
+    def test_eviction_by_a_second_session_sends_the_first_cold(self, plan, vectors, reference):
+        """Two sessions on one borrowed engine whose cache holds one plan:
+        filling one evicts the other's blocks. The evicted session's next
+        call runs cold, and the call after it is warm again."""
+        x, _ = vectors
+        engine = RecodeEngine(workers=0, cache=DecodedBlockCache(max_bytes=12 * plan.nnz))
+        try:
+            with ExecutionSession(plan, engine=engine, matrix_id="a") as a, \
+                    ExecutionSession(plan, engine=engine, matrix_id="b") as b:
+                a.spmv(x)
+                _, stats = a.spmv(x)
+                assert stats.dram_bytes == 0
+                y, _ = b.spmv(x)  # decodes b's blocks, evicting a's
+                assert y.tobytes() == reference[0]
+                y, stats = a.spmv(x)
+                assert stats.dram_bytes > 0 and y.tobytes() == reference[0]
+                assert a.cold_calls == 2 and a.warm_calls == 1
+                y, stats = a.spmv(x)
+                assert stats.dram_bytes == 0 and y.tobytes() == reference[0]
+                assert a.warm_calls == 2
+        finally:
+            engine.close()
+
+    def test_serve_cache_evict_matrix_sends_the_session_cold(self, plan, vectors, reference):
+        """The serve layer's cache counts its own removals too."""
+        from repro.serve.session import SharedDecodedCache
+
+        x, _ = vectors
+        engine = RecodeEngine(workers=0, cache=SharedDecodedCache())
+        try:
+            with ExecutionSession(plan, engine=engine, matrix_id="m") as sess:
+                sess.spmv(x)
+                sess.spmv(x)
+                assert engine.cache.evict_matrix("m") > 0
+                y, stats = sess.spmv(x)
+                assert stats.dram_bytes > 0 and y.tobytes() == reference[0]
+                assert sess.cold_calls == 2 and sess.warm_calls == 1
         finally:
             engine.close()
